@@ -44,5 +44,5 @@ pub use error::{CqlError, Result};
 pub use formula::{CalculusQuery, Formula};
 pub use policy::{EnginePolicy, SubsumptionMode};
 pub use relation::{Database, GenRelation, GenTuple};
-pub use summary::{BoxSummary, ConstraintSummary, NoSummary};
+pub use summary::{BoxSummary, ConstraintSummary, NoSummary, SummaryLevel};
 pub use theory::{CellTheory, Theory, Var};

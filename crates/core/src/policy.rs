@@ -17,9 +17,11 @@ pub enum SubsumptionMode {
     /// O(n) entailment checks per insert — the baseline the indexed store
     /// is measured against.
     Quadratic,
-    /// The indexed store: tuples are bucketed by
-    /// [`crate::Theory::signature`], candidate buckets are pruned by a
-    /// bitmask-subset test, and candidates inside a bucket are pruned by
+    /// The indexed store: tuples are bucketed per column by the closed
+    /// hull of their [`crate::summary::ConstraintSummary::range`], an
+    /// insert considers only stored tuples whose hull meets its own in
+    /// its most selective ranged column, and those candidates are pruned
+    /// by a [`crate::Theory::signature`] bitmask-subset test and by
     /// cached sample points before any [`crate::Theory::entails`] call.
     /// Same final relation as [`SubsumptionMode::Quadratic`] (the filters
     /// are sound, never merely heuristic), with far fewer entailment

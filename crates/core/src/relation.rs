@@ -2,9 +2,11 @@
 
 use crate::error::{CqlError, Result};
 use crate::policy::{EnginePolicy, SubsumptionMode};
+use crate::summary::{ConstraintSummary, SummaryLevel};
 use crate::theory::{Theory, Var};
+use cql_arith::Rat;
 use cql_trace::{count, Counter};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -128,10 +130,12 @@ impl<T: Theory> fmt::Debug for GenTuple<T> {
 
 /// Cached per-tuple metadata of the indexed subsumption store.
 /// `sample` is `None` until first needed, then `Some(outcome)` where the
-/// outcome is the theory's answer (which may itself be "no sample").
+/// outcome is the theory's answer (which may itself be "no sample"). The
+/// point is `Arc`-shared, so copying a store bumps a reference count
+/// instead of cloning its values.
 struct TupleMeta<T: Theory> {
     signature: u64,
-    sample: Option<Option<Vec<T::Value>>>,
+    sample: Option<Option<Arc<[T::Value]>>>,
 }
 
 impl<T: Theory> Clone for TupleMeta<T> {
@@ -147,12 +151,14 @@ impl<T: Theory> Clone for TupleMeta<T> {
 /// mutation of a shared relation copies the segment via [`Arc::make_mut`].
 struct RelStore<T: Theory> {
     tuples: Vec<GenTuple<T>>,
-    /// Hashes of canonical tuples, for O(1) duplicate detection.
-    seen: HashSet<u64>,
-    /// Signature + cached sample per tuple (parallel to `tuples`).
+    /// The stored tuples again (`Arc`-shared), for O(1) exact membership.
+    seen: HashSet<GenTuple<T>>,
+    /// Signature + cached sample per tuple (parallel to `tuples`). Empty
+    /// unless the policy runs indexed subsumption.
     meta: Vec<TupleMeta<T>>,
-    /// Signature value → indices into `tuples`.
-    buckets: HashMap<u64, Vec<usize>>,
+    /// One closed-hull bucket level per column, over indices into
+    /// `tuples`. Empty unless the policy runs indexed subsumption.
+    columns: Vec<SummaryLevel>,
 }
 
 impl<T: Theory> Clone for RelStore<T> {
@@ -161,16 +167,7 @@ impl<T: Theory> Clone for RelStore<T> {
             tuples: self.tuples.clone(),
             seen: self.seen.clone(),
             meta: self.meta.clone(),
-            buckets: self.buckets.clone(),
-        }
-    }
-}
-
-impl<T: Theory> RelStore<T> {
-    fn rebuild_buckets(&mut self) {
-        self.buckets.clear();
-        for (i, m) in self.meta.iter().enumerate() {
-            self.buckets.entry(m.signature).or_default().push(i);
+            columns: self.columns.clone(),
         }
     }
 }
@@ -180,8 +177,9 @@ impl<T: Theory> RelStore<T> {
 ///
 /// Inserts keep the representation compressed according to the relation's
 /// [`EnginePolicy`] (see [`SubsumptionMode`]); the default indexed mode
-/// maintains signature buckets and cached sample points so subsumption
-/// stays affordable without the seed's silent size cutoff.
+/// maintains per-column closed-hull buckets, signatures and cached sample
+/// points so subsumption stays affordable without the seed's silent size
+/// cutoff.
 ///
 /// Tuple storage lives behind an [`Arc`]: `clone` is O(1) (the snapshot
 /// runtime and the incremental maintenance paths clone relations freely),
@@ -197,6 +195,11 @@ pub struct GenRelation<T: Theory> {
     /// (summary indexes, join-plan levels, snapshot epochs) can be cached
     /// against it.
     version: u64,
+    /// Edit-history identity: drawn once when the relation is created,
+    /// preserved by `clone` and by every mutation. It proves nothing about
+    /// content (clones diverge); it only tells a cache that an entry built
+    /// for another version of this relation is worth diffing against.
+    lineage: u64,
 }
 
 /// Process-global source of [`GenRelation`] content versions. Starts at 1
@@ -207,11 +210,11 @@ fn fresh_version() -> u64 {
     NEXT_VERSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
-fn tuple_hash<T: Theory>(t: &GenTuple<T>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    t.hash(&mut h);
-    h.finish()
+/// Does the policy keep the indexed subsumption store's per-tuple
+/// metadata and column buckets? (`IndexedUpTo` keeps them past its limit
+/// too, so the relation can resume indexed subsumption if it shrinks.)
+fn indexes(policy: EnginePolicy) -> bool {
+    matches!(policy.subsumption, SubsumptionMode::Indexed | SubsumptionMode::IndexedUpTo(_))
 }
 
 impl<T: Theory> Clone for GenRelation<T> {
@@ -221,6 +224,7 @@ impl<T: Theory> Clone for GenRelation<T> {
             policy: self.policy,
             store: Arc::clone(&self.store),
             version: self.version,
+            lineage: self.lineage,
         }
     }
 }
@@ -246,6 +250,8 @@ impl<T: Theory> GenRelation<T> {
     /// this one (union, intersection, elimination, ...) inherit the policy.
     #[must_use]
     pub fn with_policy(arity: usize, policy: EnginePolicy) -> GenRelation<T> {
+        let columns =
+            if indexes(policy) { vec![SummaryLevel::default(); arity] } else { Vec::new() };
         GenRelation {
             arity,
             policy,
@@ -253,9 +259,10 @@ impl<T: Theory> GenRelation<T> {
                 tuples: Vec::new(),
                 seen: HashSet::new(),
                 meta: Vec::new(),
-                buckets: HashMap::new(),
+                columns,
             }),
             version: fresh_version(),
+            lineage: fresh_version(),
         }
     }
 
@@ -273,6 +280,15 @@ impl<T: Theory> GenRelation<T> {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The relation's edit-history identity: fixed at creation, shared by
+    /// clones and kept across mutations, so versions of one relation can
+    /// be told apart from unrelated relations. Not a content proof —
+    /// compare [`GenRelation::version`]s for that.
+    #[must_use]
+    pub fn lineage(&self) -> u64 {
+        self.lineage
     }
 
     /// The full relation (represents `D^arity`, the formula `true`).
@@ -333,21 +349,19 @@ impl<T: Theory> GenRelation<T> {
     }
 
     /// Estimated heap bytes held by the relation: constraint storage of
-    /// every tuple plus the dedup/signature bookkeeping. A sampling
-    /// gauge for telemetry (one pass, no solver work), not an allocator
-    /// measurement.
+    /// every tuple plus the dedup and subsumption-index bookkeeping. A
+    /// sampling gauge for telemetry (one pass, no solver work), not an
+    /// allocator measurement.
     #[must_use]
     pub fn bytes_estimate(&self) -> usize {
         let store = &*self.store;
         let constraint = std::mem::size_of::<T::Constraint>();
         let constraints: usize = store.tuples.iter().map(|t| t.constraints().len()).sum();
-        let bucket_ids: usize = store.buckets.values().map(Vec::len).sum();
         constraints * constraint
             + store.tuples.len() * std::mem::size_of::<GenTuple<T>>()
-            + store.seen.len() * (std::mem::size_of::<u64>() + 16)
+            + store.seen.len() * (std::mem::size_of::<GenTuple<T>>() + 16)
             + store.meta.len() * std::mem::size_of::<TupleMeta<T>>()
-            + store.buckets.len() * (std::mem::size_of::<(u64, Vec<usize>)>() + 16)
-            + bucket_ids * std::mem::size_of::<usize>()
+            + store.columns.iter().map(SummaryLevel::bytes_estimate).sum::<usize>()
     }
 
     /// Insert a tuple, maintaining the compression invariant of the
@@ -355,8 +369,7 @@ impl<T: Theory> GenRelation<T> {
     /// added (i.e. it was not a duplicate and not subsumed).
     pub fn insert(&mut self, tuple: GenTuple<T>) -> bool {
         debug_assert!(tuple.max_var_bound() <= self.arity);
-        let h = tuple_hash(&tuple);
-        if self.store.seen.contains(&h) && self.store.tuples.contains(&tuple) {
+        if self.store.seen.contains(&tuple) {
             count(Counter::TuplesSubsumed, 1);
             return false;
         }
@@ -372,6 +385,7 @@ impl<T: Theory> GenRelation<T> {
                 }
             }
         };
+        let hull = if indexes(self.policy) { self.hull(&tuple) } else { Vec::new() };
         match mode {
             SubsumptionMode::DedupOnly => {}
             SubsumptionMode::Quadratic => {
@@ -381,14 +395,14 @@ impl<T: Theory> GenRelation<T> {
                 }
             }
             SubsumptionMode::Indexed | SubsumptionMode::IndexedUpTo(_) => {
-                if !self.indexed_subsume(&tuple) {
+                if !self.indexed_subsume(&tuple, &hull) {
                     count(Counter::TuplesSubsumed, 1);
                     return false;
                 }
             }
         }
         count(Counter::TuplesInserted, 1);
-        self.push_tuple(tuple, h);
+        self.push_tuple(tuple, hull);
         true
     }
 
@@ -412,27 +426,46 @@ impl<T: Theory> GenRelation<T> {
         true
     }
 
-    /// Indexed subsumption: prune candidate buckets by signature subset,
-    /// then candidates by cached sample points, then run the (few)
-    /// remaining [`Theory::entails`] checks. Both filters are sound — a
-    /// pruned candidate provably cannot participate in the subsumption —
-    /// so the resulting relation equals the quadratic baseline's.
-    fn indexed_subsume(&mut self, tuple: &GenTuple<T>) -> bool {
+    /// The tuple's closed hull at each column: its bucket keys in the
+    /// store's column levels.
+    fn hull(&self, tuple: &GenTuple<T>) -> Vec<Option<(Rat, Rat)>> {
+        let summary = T::summary(tuple.constraints());
+        (0..self.arity).map(|col| summary.range(col)).collect()
+    }
+
+    /// Indexed subsumption. Candidates are the stored tuples whose closed
+    /// hull meets the new tuple's `hull` in its most selective ranged
+    /// column (all stored tuples when no column is ranged): a tuple that
+    /// subsumes the new one, or is subsumed by it, shares a point with it,
+    /// so their hulls meet on every column. Candidates are then pruned by
+    /// signature subset and by cached sample points before any
+    /// [`Theory::entails`] call. Every filter is sound — a pruned candidate
+    /// provably cannot participate in the subsumption — so the resulting
+    /// relation equals the quadratic baseline's.
+    fn indexed_subsume(&mut self, tuple: &GenTuple<T>, hull: &[Option<(Rat, Rat)>]) -> bool {
+        let candidates = self
+            .store
+            .columns
+            .iter()
+            .zip(hull)
+            .filter(|(_, range)| range.is_some())
+            .map(|(level, range)| level.candidates(range.clone()))
+            .min_by_key(Vec::len)
+            .unwrap_or_else(|| (0..self.len()).collect());
+        if candidates.is_empty() {
+            return true;
+        }
         let sig_new = T::signature(tuple.constraints());
         let sample_new = T::sample(tuple.constraints(), self.arity);
 
         // Drop-check: is the new tuple entailed by a stored one?
         // `new ⊨ e` needs signature(e) ⊆ signature(new); and if we have a
         // point of `new`, that point must lie in e.
-        let mut drop_candidates: Vec<usize> = Vec::new();
-        for (&key, idxs) in &self.store.buckets {
-            if key & !sig_new != 0 {
-                count(Counter::SignatureSkips, idxs.len() as u64);
-            } else {
-                drop_candidates.extend_from_slice(idxs);
+        for &i in &candidates {
+            if self.store.meta[i].signature & !sig_new != 0 {
+                count(Counter::SignatureSkips, 1);
+                continue;
             }
-        }
-        for i in drop_candidates {
             if let Some(p) = &sample_new {
                 if !self.store.tuples[i].satisfied_by(p) {
                     count(Counter::SampleSkips, 1);
@@ -448,16 +481,12 @@ impl<T: Theory> GenRelation<T> {
         // Evict-check: which stored tuples does the new one subsume?
         // `e ⊨ new` needs signature(new) ⊆ signature(e); and e's cached
         // sample point (a point of e) must lie in `new`.
-        let mut evict_candidates: Vec<usize> = Vec::new();
-        for (&key, idxs) in &self.store.buckets {
-            if sig_new & !key != 0 {
-                count(Counter::SignatureSkips, idxs.len() as u64);
-            } else {
-                evict_candidates.extend_from_slice(idxs);
-            }
-        }
         let mut evict = Vec::new();
-        for i in evict_candidates {
+        for i in candidates {
+            if sig_new & !self.store.meta[i].signature != 0 {
+                count(Counter::SignatureSkips, 1);
+                continue;
+            }
             if let Some(p) = self.cached_sample(i) {
                 if !tuple.satisfied_by(p) {
                     count(Counter::SampleSkips, 1);
@@ -478,14 +507,14 @@ impl<T: Theory> GenRelation<T> {
     /// Only copies a shared store when it actually has to fill the cache.
     fn cached_sample(&mut self, i: usize) -> Option<&[T::Value]> {
         if self.store.meta[i].sample.is_none() {
-            let sample = T::sample(self.store.tuples[i].constraints(), self.arity);
+            let sample = T::sample(self.store.tuples[i].constraints(), self.arity).map(Arc::from);
             Arc::make_mut(&mut self.store).meta[i].sample = Some(sample);
         }
         self.store.meta[i].sample.as_ref().and_then(|s| s.as_deref())
     }
 
     /// Remove the tuples at the given (sorted, distinct) indices,
-    /// compacting storage and rebuilding the signature buckets.
+    /// compacting storage and renumbering the column buckets.
     fn remove_indices(&mut self, indices: &[usize]) {
         if indices.is_empty() {
             return;
@@ -493,29 +522,41 @@ impl<T: Theory> GenRelation<T> {
         self.version = fresh_version();
         count(Counter::TuplesEvicted, indices.len() as u64);
         let store = Arc::make_mut(&mut self.store);
-        let mut k = 0;
         let seen = &mut store.seen;
-        let tuples = std::mem::take(&mut store.tuples);
-        let meta = std::mem::take(&mut store.meta);
-        for (i, (t, m)) in tuples.into_iter().zip(meta).enumerate() {
-            if k < indices.len() && indices[k] == i {
-                k += 1;
-                seen.remove(&tuple_hash(&t));
-            } else {
-                store.tuples.push(t);
-                store.meta.push(m);
+        let mut i = 0;
+        store.tuples.retain(|t| {
+            let removed = indices.binary_search(&i).is_ok();
+            i += 1;
+            if removed {
+                seen.remove(t);
             }
+            !removed
+        });
+        let mut i = 0;
+        store.meta.retain(|_| {
+            let removed = indices.binary_search(&i).is_ok();
+            i += 1;
+            !removed
+        });
+        for level in &mut store.columns {
+            level.remove_indices(indices);
         }
-        store.rebuild_buckets();
     }
 
-    fn push_tuple(&mut self, tuple: GenTuple<T>, hash: u64) {
+    /// Append a tuple that passed the subsumption checks; `hull` is its
+    /// [`GenRelation::hull`] (empty unless the policy indexes).
+    fn push_tuple(&mut self, tuple: GenTuple<T>, hull: Vec<Option<(Rat, Rat)>>) {
         self.version = fresh_version();
-        let signature = T::signature(tuple.constraints());
+        let indexed = indexes(self.policy);
         let store = Arc::make_mut(&mut self.store);
-        store.seen.insert(hash);
-        store.buckets.entry(signature).or_default().push(store.tuples.len());
-        store.meta.push(TupleMeta { signature, sample: None });
+        store.seen.insert(tuple.clone());
+        if indexed {
+            let signature = T::signature(tuple.constraints());
+            store.meta.push(TupleMeta { signature, sample: None });
+            for (level, range) in store.columns.iter_mut().zip(hull) {
+                level.push(range);
+            }
+        }
         store.tuples.push(tuple);
     }
 
@@ -523,7 +564,7 @@ impl<T: Theory> GenRelation<T> {
     /// (Syntactic membership, not point-set containment.)
     #[must_use]
     pub fn contains(&self, tuple: &GenTuple<T>) -> bool {
-        self.store.seen.contains(&tuple_hash(tuple)) && self.store.tuples.contains(tuple)
+        self.store.seen.contains(tuple)
     }
 
     /// Remove one exact stored tuple. Returns `true` if it was present
@@ -533,16 +574,29 @@ impl<T: Theory> GenRelation<T> {
     /// at insert time do **not** reappear (callers that need exact
     /// retraction semantics must rebuild from their own ledger).
     pub fn remove(&mut self, tuple: &GenTuple<T>) -> bool {
-        if !self.store.seen.contains(&tuple_hash(tuple)) {
-            return false;
+        self.remove_all(std::slice::from_ref(tuple)) == 1
+    }
+
+    /// [`GenRelation::remove`] for a batch of distinct tuples, in one
+    /// compaction pass (`O(len + tuples.len())` rather than `O(len)` per
+    /// tuple). Returns how many were present; the version is bumped iff
+    /// any was.
+    pub fn remove_all(&mut self, tuples: &[GenTuple<T>]) -> usize {
+        // `seen` and `tuples` hold the same `Arc` per stored tuple: find
+        // the stored copies by hash, then locate them by address, so the
+        // scan hashes no constraint values.
+        let addr = |t: &GenTuple<T>| Arc::as_ptr(&t.constraints).cast::<()>() as usize;
+        let mut doomed: Vec<usize> =
+            tuples.iter().filter_map(|t| self.store.seen.get(t)).map(addr).collect();
+        if doomed.is_empty() {
+            return 0;
         }
-        match self.store.tuples.iter().position(|t| t == tuple) {
-            Some(i) => {
-                self.remove_indices(&[i]);
-                true
-            }
-            None => false,
-        }
+        doomed.sort_unstable();
+        let indices: Vec<usize> = (0..self.store.tuples.len())
+            .filter(|&i| doomed.binary_search(&addr(&self.store.tuples[i])).is_ok())
+            .collect();
+        self.remove_indices(&indices);
+        indices.len()
     }
 
     /// Does the point belong to the represented unrestricted relation?
@@ -703,6 +757,14 @@ impl<T: Theory> Database<T> {
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&GenRelation<T>> {
         self.relations.get(name)
+    }
+
+    /// Look up a relation for in-place mutation. A relation whose store
+    /// is shared with clones (snapshots, earlier rounds) copies it on the
+    /// first mutation only; later mutations through the database are in
+    /// place.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut GenRelation<T>> {
+        self.relations.get_mut(name)
     }
 
     /// Look up a relation, as a [`Result`].

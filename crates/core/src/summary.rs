@@ -24,6 +24,7 @@
 
 use crate::theory::Var;
 use cql_arith::Rat;
+use std::collections::BTreeMap;
 
 /// A cheap over-approximation of a canonical conjunction's solution set.
 ///
@@ -188,6 +189,139 @@ impl ConstraintSummary for BoxSummary {
     }
 }
 
+/// One closed-hull bucket level: entry *indices* bucketed by their
+/// [`ConstraintSummary::range`] hull at one dimension. The owning
+/// structure keeps the entries themselves and knows the dimension.
+///
+/// Shared by the relation store (one level per column, maintained on
+/// every insert and eviction, to narrow subsumption candidates) and the
+/// engine's join indexes (built per operator over renamed tuples):
+///
+/// * pinned entries (`lo == hi`) land in a [`BTreeMap`] keyed by the
+///   point, so a probe interval selects buckets by an `O(log n)` range
+///   scan — the grid case that dominates active-domain workloads;
+/// * bounded-but-not-pinned entries keep their closed hull in a span
+///   list probed by linear intersection;
+/// * entries unbounded at the dimension sit in a catch-all bucket that
+///   every probe returns.
+///
+/// Probing is sound whenever two entries that share a point must be
+/// returned for each other: each entry's hull contains the dimension's
+/// coordinate of every one of its points, so hulls of entries with a
+/// common point meet.
+#[derive(Clone, Debug, Default)]
+pub struct SummaryLevel {
+    len: usize,
+    /// Entries pinned at the level's dimension, keyed by the point.
+    points: BTreeMap<Rat, Vec<usize>>,
+    /// Entries bounded but not pinned: closed hulls `(lo, hi)`.
+    spans: Vec<((Rat, Rat), usize)>,
+    /// Entries unbounded at the dimension — candidates for every probe.
+    rest: Vec<usize>,
+}
+
+impl SummaryLevel {
+    /// Bucket `summaries` (entry `i` is the `i`-th) by their closed hull
+    /// at dimension `dim`.
+    pub fn build<'a, S, I>(dim: Var, summaries: I) -> SummaryLevel
+    where
+        S: ConstraintSummary + 'a,
+        I: IntoIterator<Item = &'a S>,
+    {
+        let mut level = SummaryLevel::default();
+        for s in summaries {
+            level.push(s.range(dim));
+        }
+        level
+    }
+
+    /// Append the next entry (index [`SummaryLevel::len`]) with closed
+    /// hull `range` at the level's dimension (`None` when unbounded).
+    pub fn push(&mut self, range: Option<(Rat, Rat)>) {
+        let i = self.len;
+        self.len += 1;
+        match range {
+            Some((lo, hi)) if lo == hi => self.points.entry(lo).or_default().push(i),
+            Some(hull) => self.spans.push((hull, i)),
+            None => self.rest.push(i),
+        }
+    }
+
+    /// Drop the entries at `removed` (sorted, distinct) and renumber the
+    /// survivors densely, keeping their relative order — the level of
+    /// the compacted entry list.
+    pub fn remove_indices(&mut self, removed: &[usize]) {
+        // Renumber `i` past the removed entries; `false` drops `i` itself.
+        let renumber = |i: &mut usize| {
+            let below = removed.partition_point(|&r| r < *i);
+            let keep = removed.get(below) != Some(i);
+            *i -= below;
+            keep
+        };
+        self.points.retain(|_, ids| {
+            ids.retain_mut(renumber);
+            !ids.is_empty()
+        });
+        self.spans.retain_mut(|(_, i)| renumber(i));
+        self.rest.retain_mut(renumber);
+        self.len -= removed.len();
+    }
+
+    /// Number of bucketed entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True iff the level holds no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// How many entries actually range the level's dimension (the rest
+    /// are returned by every probe).
+    #[must_use]
+    pub fn bucketed(&self) -> usize {
+        self.len - self.rest.len()
+    }
+
+    /// Estimated heap bytes held by the level's bucket structures
+    /// (points map, span list, catch-all) — a sampling gauge for
+    /// telemetry, not an allocator measurement.
+    #[must_use]
+    pub fn bytes_estimate(&self) -> usize {
+        let point_entry = std::mem::size_of::<(Rat, Vec<usize>)>() + 16;
+        let id = std::mem::size_of::<usize>();
+        let point_ids: usize = self.points.values().map(Vec::len).sum();
+        self.points.len() * point_entry
+            + point_ids * id
+            + self.spans.len() * std::mem::size_of::<((Rat, Rat), usize)>()
+            + self.rest.len() * id
+    }
+
+    /// Entry indices whose hull at the level's dimension meets the closed
+    /// probe `range`; all entries (in index order) when the probe is
+    /// unranged.
+    #[must_use]
+    pub fn candidates(&self, range: Option<(Rat, Rat)>) -> Vec<usize> {
+        let Some((lo, hi)) = range else {
+            return (0..self.len).collect();
+        };
+        let mut out: Vec<usize> = Vec::new();
+        for ids in self.points.range(&lo..=&hi).map(|(_, ids)| ids) {
+            out.extend_from_slice(ids);
+        }
+        for ((slo, shi), i) in &self.spans {
+            if *slo <= hi && lo <= *shi {
+                out.push(*i);
+            }
+        }
+        out.extend_from_slice(&self.rest);
+        out
+    }
+}
+
 /// The trivial summary: intersects everything, buckets nothing. Useful
 /// for theories (or theory modes) that opt out of pruning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -262,6 +396,41 @@ mod tests {
         let mut p = BoxSummary::new();
         p.pin(0, r(5));
         assert_eq!(p.range(0), Some((r(5), r(5))));
+    }
+
+    #[test]
+    fn level_probes_points_spans_and_rest() {
+        // Entries: pin 1, span [2, 5], unbounded, pin 4.
+        let mut level = SummaryLevel::default();
+        level.push(Some((r(1), r(1))));
+        level.push(Some((r(2), r(5))));
+        level.push(None);
+        level.push(Some((r(4), r(4))));
+        assert_eq!((level.len(), level.bucketed()), (4, 3));
+        let mut got = level.candidates(Some((r(4), r(6))));
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2, 3]);
+        // Closed hulls: touching the span's end still meets it.
+        assert_eq!(level.candidates(Some((r(0), r(2)))), vec![0, 1, 2]);
+        assert_eq!(level.candidates(None), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn level_removal_renumbers_survivors() {
+        let mut level = SummaryLevel::default();
+        for k in 0..6 {
+            level.push(if k % 3 == 2 { None } else { Some((r(k), r(k + k % 2))) });
+        }
+        // Drop entries 0 and 3; survivors 1, 2, 4, 5 become 0, 1, 2, 3.
+        level.remove_indices(&[0, 3]);
+        assert_eq!(level.len(), 4);
+        let mut all = level.candidates(Some((r(0), r(9))));
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2, 3]);
+        // Old entry 4 (pin 4) is now 2; old 5 (unbounded) is now 3.
+        assert_eq!(level.candidates(Some((r(4), r(4)))), vec![2, 1, 3]);
+        level.push(Some((r(7), r(7))));
+        assert_eq!(level.candidates(Some((r(7), r(7)))), vec![4, 1, 3]);
     }
 
     #[test]

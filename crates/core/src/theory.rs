@@ -118,10 +118,10 @@ pub trait Theory: Sized + Send + Sync + 'static {
     /// return `None` when sampling is not implemented for a conjunction.
     fn sample(conj: &[Self::Constraint], arity: usize) -> Option<Vec<Self::Value>>;
 
-    /// Subsumption-index bucket signature of a *canonical* conjunction.
+    /// Subsumption-index signature of a *canonical* conjunction.
     ///
-    /// [`crate::GenRelation`]'s indexed store buckets tuples by this value
-    /// and prunes whole buckets with a bitmask-subset test. **Soundness
+    /// [`crate::GenRelation`]'s indexed store caches this value per tuple
+    /// and prunes subsumption candidates with a bitmask-subset test. **Soundness
     /// contract**: whenever `a` entails `b` (for canonical `a`, `b`),
     /// `signature(b) & !signature(a) == 0` must hold — the entailed side's
     /// bits are a subset of the entailing side's.
@@ -130,9 +130,9 @@ pub trait Theory: Sized + Send + Sync + 'static {
     /// satisfies the contract for theories where entailment in canonical
     /// form implies `vars(b) ⊆ vars(a)` (dense order, equality, and the
     /// polynomial theory's syntactic entailment qualify; see each
-    /// implementation). The default — the constant 0, one bucket for
-    /// everything — is always sound and disables bucket pruning, leaving
-    /// only the sample-point filter.
+    /// implementation). The default — the constant 0 for everything — is
+    /// always sound and disables signature pruning, leaving the hull
+    /// buckets and the sample-point filter.
     #[must_use]
     fn signature(conj: &[Self::Constraint]) -> u64 {
         let _ = conj;

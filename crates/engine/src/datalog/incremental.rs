@@ -169,7 +169,7 @@ impl<T: Theory> MaterializedView<T> {
                 continue;
             }
             let rels: Vec<Option<&GenRelation<T>>> = vec![None; rule.body.len()];
-            let fired = fire_rule_counted(engine, ri, rule, &rels, cache)?;
+            let fired = fire_rule_counted(engine, ri, rule, &rels, None, cache)?;
             let head = &rule.head.relation;
             for t in fired {
                 count(Counter::SupportAdjust, 1);
@@ -382,7 +382,9 @@ impl<T: Theory> MaterializedView<T> {
             let mut old: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
             let mut drels: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
             for (name, tuples) in &delta {
-                old.insert(name.clone(), stores[name].clone());
+                if reads_old(program, &delta, name) {
+                    old.insert(name.clone(), stores[name].clone());
+                }
                 let mut drel = GenRelation::with_policy(arities[name], store_policy);
                 let store = stores.get_mut(name).expect("known predicate");
                 for t in tuples {
@@ -402,7 +404,7 @@ impl<T: Theory> MaterializedView<T> {
                     let Literal::Pos(a) = lit else { continue };
                     let Some(drel) = drels.get(&a.relation) else { continue };
                     let rels = bind_positions(rule, li, drel, stores, &old);
-                    let fired = fire_rule_counted(engine, ri, rule, &rels, cache)?;
+                    let fired = fire_rule_counted(engine, ri, rule, &rels, Some(li), cache)?;
                     let head = &rule.head.relation;
                     for t in fired {
                         count(Counter::SupportAdjust, 1);
@@ -463,12 +465,13 @@ impl<T: Theory> MaterializedView<T> {
                 let mut old: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
                 let mut drels: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
                 for (name, tuples) in &d {
-                    old.insert(name.clone(), stores[name].clone());
+                    if reads_old(program, &d, name) {
+                        old.insert(name.clone(), stores[name].clone());
+                    }
                     let mut drel = GenRelation::with_policy(arities[name], store_policy);
-                    let store = stores.get_mut(name).expect("known predicate");
+                    let removed = stores.get_mut(name).expect("known predicate").remove_all(tuples);
+                    debug_assert_eq!(removed, tuples.len(), "deletion delta tuples are stored");
                     for t in tuples {
-                        let removed = store.remove(t);
-                        debug_assert!(removed, "deletion delta tuples are stored");
                         if idb_preds.contains(name) {
                             journal.entry(name.clone()).or_default().push((false, t.clone()));
                         }
@@ -482,7 +485,7 @@ impl<T: Theory> MaterializedView<T> {
                         let Literal::Pos(a) = lit else { continue };
                         let Some(drel) = drels.get(&a.relation) else { continue };
                         let rels = bind_positions(rule, li, drel, stores, &old);
-                        let fired = fire_rule_counted(engine, ri, rule, &rels, cache)?;
+                        let fired = fire_rule_counted(engine, ri, rule, &rels, Some(li), cache)?;
                         let head = &rule.head.relation;
                         for t in fired {
                             count(Counter::SupportAdjust, 1);
@@ -567,6 +570,25 @@ fn bind_positions<'a, T: Theory>(
             Literal::Neg(_) | Literal::Constraint(_) => None,
         })
         .collect()
+}
+
+/// Does some firing of a round with this `delta` read `name` at a
+/// position after its delta literal — where [`bind_positions`] binds the
+/// pre-round relation? Only then is the pre-round relation kept, since
+/// keeping it makes the round's first mutation copy the store.
+fn reads_old<T: Theory, D>(program: &Program<T>, delta: &BTreeMap<String, D>, name: &str) -> bool {
+    fn relation<T: Theory>(lit: &Literal<T>) -> Option<&str> {
+        match lit {
+            Literal::Pos(a) => Some(a.relation.as_str()),
+            Literal::Neg(_) | Literal::Constraint(_) => None,
+        }
+    }
+    program.rules.iter().any(|rule| {
+        rule.body.iter().enumerate().any(|(li, lit)| {
+            relation(lit).is_some_and(|r| delta.contains_key(r))
+                && rule.body[li + 1..].iter().any(|later| relation(later) == Some(name))
+        })
+    })
 }
 
 fn check_budget<T: Theory>(

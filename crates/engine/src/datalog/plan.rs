@@ -29,10 +29,12 @@
 //! tuples / summaries / levels keyed by the source relation's content
 //! version — so unchanged EDB relations are renamed and bucketed once
 //! for the whole run, not once per round (the reuse is visible as
-//! [`Counter::SummaryIndexReuses`]).
+//! [`Counter::SummaryIndexReuses`]) — and a changed relation's entry is
+//! carried forward from its previous version (`AtomData::advance`)
+//! instead of being rebuilt.
 
 use crate::datalog::ast::{Literal, Program, Rule};
-use crate::summary_index::{majority_dim, SummaryIndex, SummaryTrie};
+use crate::summary_index::{majority_dim, SummaryIndex, SummaryLevel, SummaryTrie};
 use cql_arith::Rat;
 use cql_core::relation::{GenRelation, GenTuple};
 use cql_core::summary::ConstraintSummary;
@@ -109,13 +111,17 @@ fn distinct_vars(vars: &[Var]) -> Vec<Var> {
 /// probing structures are built lazily so a cache entry serves both the
 /// multiway path (levels) and the binary fold (one-dimensional index).
 pub(crate) struct AtomData<T: Theory> {
+    /// The source relation's tuples, in store order: what a later
+    /// version of the same relation is diffed against
+    /// ([`AtomData::advance`]).
+    source: Vec<GenTuple<T>>,
     /// Tuple conjunctions renamed into rule variables.
     pub renamed: Vec<Vec<T::Constraint>>,
     /// One summary per renamed conjunction.
     pub summaries: Vec<T::Summary>,
     /// Distinct rule variables the atom binds.
     pub vars: Vec<Var>,
-    trie: OnceLock<SummaryTrie>,
+    trie: SummaryTrie,
     index: OnceLock<Option<SummaryIndex<T>>>,
 }
 
@@ -125,17 +131,65 @@ impl<T: Theory> AtomData<T> {
             rel.tuples().iter().map(|u| u.rename(&|j| atom_vars[j])).collect();
         let summaries: Vec<T::Summary> = renamed.iter().map(|c| T::summary(c)).collect();
         AtomData {
+            source: rel.tuples().to_vec(),
             renamed,
             summaries,
             vars: distinct_vars(atom_vars),
-            trie: OnceLock::new(),
+            trie: SummaryTrie::new(atom_vars),
             index: OnceLock::new(),
         }
     }
 
-    /// Per-variable summary levels (multiway path).
-    pub fn trie(&self) -> &SummaryTrie {
-        self.trie.get_or_init(|| SummaryTrie::build(&self.summaries, &self.vars))
+    /// Carry this entry to `rel`, a later version of the relation it was
+    /// built from. Store edits only compact (eviction and removal keep the
+    /// survivors' order) and append, so one equality walk splits the old
+    /// tuples into those `rel` still holds — a prefix of `rel`'s tuples,
+    /// whose renamed form, summary and trie entries are kept — and
+    /// removed ones; only `rel`'s remaining tail is renamed, summarized
+    /// and pushed into the trie. The walk is correct for any pair of
+    /// lists (at worst it removes everything and appends all of `rel`),
+    /// and the result equals [`AtomData::build`]`(rel, atom_vars)`.
+    fn advance(mut self, rel: &GenRelation<T>, atom_vars: &[Var]) -> AtomData<T> {
+        let tuples = rel.tuples();
+        let mut kept = 0;
+        let mut removed = Vec::new();
+        for (i, t) in self.source.iter().enumerate() {
+            if tuples.get(kept) == Some(t) {
+                kept += 1;
+            } else {
+                removed.push(i);
+            }
+        }
+        if !removed.is_empty() {
+            let keep = |i: &mut usize| {
+                let k = removed.binary_search(i).is_err();
+                *i += 1;
+                k
+            };
+            let mut i = 0;
+            self.source.retain(|_| keep(&mut i));
+            let mut i = 0;
+            self.renamed.retain(|_| keep(&mut i));
+            let mut i = 0;
+            self.summaries.retain(|_| keep(&mut i));
+        }
+        let tail = &tuples[kept..];
+        let renamed: Vec<Vec<T::Constraint>> =
+            tail.iter().map(|u| u.rename(&|j| atom_vars[j])).collect();
+        let summaries: Vec<T::Summary> = renamed.iter().map(|c| T::summary(c)).collect();
+        self.trie.edit(&removed, &summaries);
+        // The one-dimensional index picks its dimension from all the
+        // summaries, so it is rebuilt on demand rather than edited.
+        self.index = OnceLock::new();
+        self.source.extend_from_slice(tail);
+        self.renamed.extend(renamed);
+        self.summaries.extend(summaries);
+        self
+    }
+
+    /// The summary level at `var` (multiway path), built on first use.
+    fn level(&self, var: Var) -> Option<&SummaryLevel> {
+        self.trie.level(var, &self.summaries)
     }
 
     /// One-dimensional summary index (binary fold path); `None` when
@@ -188,6 +242,10 @@ pub(crate) struct PlanCache<T: Theory> {
     telemetry: Vec<RuleTelemetry>,
     hot: HashMap<(u64, Vec<Var>), Arc<AtomData<T>>>,
     cold: HashMap<(u64, Vec<Var>), Arc<AtomData<T>>>,
+    /// Most recently cached version per (relation lineage, variable
+    /// map): the entry a miss on another version of the same relation is
+    /// advanced from.
+    latest: HashMap<(u64, Vec<Var>), u64>,
 }
 
 impl<T: Theory> PlanCache<T> {
@@ -197,6 +255,7 @@ impl<T: Theory> PlanCache<T> {
             telemetry: vec![RuleTelemetry::default(); rules],
             hot: HashMap::new(),
             cold: HashMap::new(),
+            latest: HashMap::new(),
         }
     }
 
@@ -235,16 +294,40 @@ impl<T: Theory> PlanCache<T> {
                 count(Counter::SummaryIndexReuses, 1);
                 data
             }
-            None => Arc::new(AtomData::build(rel, atom_vars)),
+            None => Arc::new(match self.take_latest(rel, atom_vars) {
+                Some(prior) => prior.advance(rel, atom_vars),
+                None => AtomData::build(rel, atom_vars),
+            }),
         };
         if self.hot.len() >= ATOM_CACHE_MAX {
             // Segmented eviction: the hot generation becomes cold (the old
             // cold generation is dropped); live entries are promoted back
             // out of cold on their next hit.
             self.cold = std::mem::take(&mut self.hot);
+            let cold = &self.cold;
+            self.latest.retain(|(_, vars), v| cold.contains_key(&(*v, vars.clone())));
         }
+        self.latest.insert((rel.lineage(), atom_vars.to_vec()), rel.version());
         self.hot.insert(key, Arc::clone(&data));
         data
+    }
+
+    /// Remove and return the cached entry for the most recent other
+    /// version of `rel`'s lineage under `atom_vars`, if the cache holds
+    /// the only reference to it (an entry a caller still holds stays
+    /// cached, and the miss builds a fresh entry).
+    fn take_latest(&mut self, rel: &GenRelation<T>, atom_vars: &[Var]) -> Option<AtomData<T>> {
+        let &version = self.latest.get(&(rel.lineage(), atom_vars.to_vec()))?;
+        let key = (version, atom_vars.to_vec());
+        let generation = if self.hot.contains_key(&key) { &mut self.hot } else { &mut self.cold };
+        let entry = generation.remove(&key)?;
+        match Arc::try_unwrap(entry) {
+            Ok(prior) => Some(prior),
+            Err(shared) => {
+                generation.insert(key, shared);
+                None
+            }
+        }
     }
 
     /// Fold one firing's probe/survivor counts into the rule's totals.
@@ -317,24 +400,33 @@ fn intersect_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
 /// The backtracking state of one multiway join execution.
 struct Search<'a, T: Theory> {
     atoms: &'a [Arc<AtomData<T>>],
+    /// Search order: `order[d]` is the plan position of the atom bound
+    /// at depth `d`.
+    order: &'a [usize],
     base: &'a GenTuple<T>,
     base_summary: T::Summary,
     chosen: Vec<usize>,
-    out: Vec<Vec<T::Constraint>>,
+    /// Surviving combinations: per plan position the chosen tuple, and
+    /// the conjunction handed to the solver.
+    out: Vec<(Vec<usize>, Vec<T::Constraint>)>,
     probes: u64,
 }
 
 impl<T: Theory> Search<'_, T> {
     fn descend(&mut self, depth: usize, bounds: &[Option<(Rat, Rat)>]) {
         if depth == self.atoms.len() {
+            let mut key = vec![0; self.atoms.len()];
+            for (&p, &i) in self.order.iter().zip(&self.chosen) {
+                key[p] = i;
+            }
             let mut conj = self.base.constraints().to_vec();
-            for (atom, &i) in self.atoms.iter().zip(&self.chosen) {
+            for (atom, &i) in self.atoms.iter().zip(&key) {
                 conj.extend_from_slice(&atom.renamed[i]);
             }
-            self.out.push(conj);
+            self.out.push((key, conj));
             return;
         }
-        let atom = &self.atoms[depth];
+        let atom = &self.atoms[self.order[depth]];
         // Leapfrog step: intersect the candidate sets of every level the
         // accumulated bounds can probe. Candidates are kept in ascending
         // tuple order so enumeration is deterministic regardless of
@@ -344,7 +436,7 @@ impl<T: Theory> Search<'_, T> {
             if bounds[v].is_none() {
                 continue;
             }
-            let Some(level) = atom.trie().level(v) else { continue };
+            let Some(level) = atom.level(v) else { continue };
             let mut ids = level.candidates(bounds[v].clone());
             ids.sort_unstable();
             cand = Some(match cand {
@@ -365,8 +457,8 @@ impl<T: Theory> Search<'_, T> {
             if !self
                 .chosen
                 .iter()
-                .enumerate()
-                .all(|(d, &j)| s.may_intersect(&self.atoms[d].summaries[j]))
+                .zip(self.order)
+                .all(|(&j, &p)| s.may_intersect(&self.atoms[p].summaries[j]))
             {
                 continue;
             }
@@ -381,6 +473,27 @@ impl<T: Theory> Search<'_, T> {
     }
 }
 
+/// The search order of a multiway join: plan order, or — with a `lead`
+/// plan position — that atom first, then repeatedly the first remaining
+/// atom (in plan order) sharing a variable with the atoms already bound,
+/// so every later atom is probed through its levels rather than scanned.
+fn search_order<T: Theory>(atoms: &[Arc<AtomData<T>>], lead: Option<usize>) -> Vec<usize> {
+    let Some(lead) = lead else {
+        return (0..atoms.len()).collect();
+    };
+    let mut order = vec![lead];
+    let mut bound: Vec<Var> = atoms[lead].vars.clone();
+    let mut rest: Vec<usize> = (0..atoms.len()).filter(|&p| p != lead).collect();
+    while !rest.is_empty() {
+        let at =
+            rest.iter().position(|&p| atoms[p].vars.iter().any(|v| bound.contains(v))).unwrap_or(0);
+        let p = rest.remove(at);
+        bound.extend_from_slice(&atoms[p].vars);
+        order.push(p);
+    }
+    order
+}
+
 /// Execute a multiway join: backtrack over `atoms` (already in plan
 /// order), handing the solver one conjunction per surviving full
 /// combination. Returns the surviving raw conjunctions plus the probe
@@ -388,8 +501,17 @@ impl<T: Theory> Search<'_, T> {
 /// cheap interval arithmetic); the surviving canonicalizations — the
 /// actual solver calls — are batched through the engine's executor by
 /// the caller.
+///
+/// `lead` names a plan position to search from first (a delta atom much
+/// smaller than the others). Survival does not depend on the search
+/// order — a combination survives iff its summaries pairwise may
+/// intersect (and meet the base) and its closed hulls meet at every
+/// variable — and the survivors are returned in plan order (ascending
+/// chosen tuple per plan position, lexicographically), so only the
+/// probe count differs from a plan-order search.
 pub(crate) fn multiway_join<T: Theory>(
     atoms: &[Arc<AtomData<T>>],
+    lead: Option<usize>,
     base: &GenTuple<T>,
     var_count: usize,
 ) -> (Vec<Vec<T::Constraint>>, u64, u64) {
@@ -399,8 +521,10 @@ pub(crate) fn multiway_join<T: Theory>(
     if !tighten(&mut bounds, &base_summary) {
         return (Vec::new(), 0, 0);
     }
+    let order = search_order(atoms, lead);
     let mut search = Search {
         atoms,
+        order: &order,
         base,
         base_summary,
         chosen: Vec::with_capacity(atoms.len()),
@@ -408,10 +532,14 @@ pub(crate) fn multiway_join<T: Theory>(
         probes: 0,
     };
     search.descend(0, &bounds);
-    let survivors = search.out.len() as u64;
+    let mut out = search.out;
+    if order.iter().enumerate().any(|(d, &p)| d != p) {
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    }
+    let survivors = out.len() as u64;
     sp.arg("probes", search.probes);
     sp.arg("survivors", survivors);
-    (search.out, search.probes, survivors)
+    (out.into_iter().map(|(_, conj)| conj).collect(), search.probes, survivors)
 }
 
 #[cfg(test)]
@@ -477,6 +605,121 @@ mod tests {
     fn sorted_intersection_is_exact() {
         assert_eq!(intersect_sorted(&[0, 2, 4, 6], &[1, 2, 3, 6]), vec![2, 6]);
         assert_eq!(intersect_sorted(&[], &[1]), Vec::<usize>::new());
+    }
+
+    /// A mixed-shape pseudo-random tuple: pinned points, short spans and
+    /// half-lines, so every bucket kind of the levels is exercised.
+    fn mixed_tuple(k: u64) -> GenTuple<Dense> {
+        use cql_dense::DenseConstraint as C;
+        let (a, b) = ((k % 7) as i64, (k / 7 % 7) as i64);
+        let cs = match k % 3 {
+            0 => vec![C::eq_const(0, a), C::eq_const(1, b)],
+            1 => vec![C::gt_const(0, a), C::lt_const(0, a + 2), C::eq_const(1, b)],
+            _ => vec![C::ge_const(0, a), C::lt_const(1, b)],
+        };
+        GenTuple::new(cs).unwrap()
+    }
+
+    /// Structural equality of two entries: the renamed tuples, summaries
+    /// and the level at every variable (by its exact bucket layout).
+    fn assert_same_atom_data(got: &AtomData<Dense>, want: &AtomData<Dense>) {
+        assert_eq!(got.source, want.source);
+        assert_eq!(got.renamed, want.renamed);
+        assert_eq!(got.summaries, want.summaries);
+        assert_eq!(got.vars, want.vars);
+        for &v in &want.vars {
+            assert_eq!(format!("{:?}", got.level(v)), format!("{:?}", want.level(v)));
+        }
+    }
+
+    #[test]
+    fn advanced_atom_data_equals_a_fresh_build() {
+        use cql_core::{EnginePolicy, SubsumptionMode};
+        let vars = vec![2, 0];
+        for subsumption in [SubsumptionMode::DedupOnly, SubsumptionMode::Indexed] {
+            let policy = EnginePolicy { subsumption, ..EnginePolicy::default() };
+            let mut rel: GenRelation<Dense> = GenRelation::with_policy(2, policy);
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+            for step in 0..200 {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let prior = AtomData::build(&rel, &vars);
+                // Build the levels before the edit, so `advance` edits them;
+                // every other step leaves them unbuilt.
+                if step % 2 == 0 {
+                    for &v in &prior.vars {
+                        prior.level(v);
+                    }
+                }
+                let k = state >> 33;
+                if k % 4 == 0 && !rel.is_empty() {
+                    let doomed: Vec<GenTuple<Dense>> =
+                        rel.tuples().iter().skip((k % 5) as usize).step_by(3).cloned().collect();
+                    assert_eq!(rel.remove_all(&doomed), doomed.len());
+                } else {
+                    rel.insert(mixed_tuple(k));
+                }
+                assert_same_atom_data(&prior.advance(&rel, &vars), &AtomData::build(&rel, &vars));
+            }
+        }
+    }
+
+    #[test]
+    fn cache_advances_across_versions_of_one_relation() {
+        let vars = vec![0, 1];
+        let mut cache: PlanCache<Dense> = PlanCache::new(0);
+        let mut rel: GenRelation<Dense> = GenRelation::empty(2);
+        let snapshot = rel.clone();
+        for k in 0..40 {
+            rel.insert(mixed_tuple(k * 11));
+            if k % 5 == 4 {
+                let first = rel.tuples()[0].clone();
+                assert!(rel.remove(&first));
+            }
+            let data = cache.atom_data(&rel, &vars);
+            assert_same_atom_data(&data, &AtomData::build(&rel, &vars));
+            data.level(0);
+            // A clone that diverged (same lineage, older content) is
+            // served exactly too.
+            if k % 10 == 9 {
+                let old = cache.atom_data(&snapshot, &vars);
+                assert_same_atom_data(&old, &AtomData::build(&snapshot, &vars));
+            }
+        }
+    }
+
+    #[test]
+    fn lead_atom_search_matches_plan_order() {
+        let rule = path_rule();
+        let plan = JoinPlan::build(&rule);
+        let mut state = 7_u64;
+        for round in 0..20 {
+            let rels: Vec<GenRelation<Dense>> = (0..3)
+                .map(|_| {
+                    let mut rel = GenRelation::empty(2);
+                    for _ in 0..(3 + round % 9) {
+                        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        rel.insert(mixed_tuple(state >> 33));
+                    }
+                    rel
+                })
+                .collect();
+            let atoms: Vec<Arc<AtomData<Dense>>> = plan
+                .atom_order
+                .iter()
+                .map(|&li| {
+                    let Literal::Pos(a) = &rule.body[li] else { unreachable!() };
+                    Arc::new(AtomData::build(&rels[li], &a.vars))
+                })
+                .collect();
+            let base = GenTuple::top();
+            let (want, _, want_survivors) = multiway_join(&atoms, None, &base, rule.var_count());
+            for lead in 0..atoms.len() {
+                let (got, _, survivors) =
+                    multiway_join(&atoms, Some(lead), &base, rule.var_count());
+                assert_eq!(got, want, "lead {lead}, round {round}");
+                assert_eq!(survivors, want_survivors);
+            }
+        }
     }
 
     #[test]

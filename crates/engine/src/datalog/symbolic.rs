@@ -338,7 +338,10 @@ pub(crate) fn project_conjs<T: Theory>(
 /// no output either way, so counts are unaffected by pruning).
 ///
 /// `rels[li]` is the relation positive literal `li` reads; entries for
-/// constraint literals are ignored.
+/// constraint literals are ignored. `delta_at` is the body literal bound
+/// to the (small) delta relation, if any: the join searches from it, so
+/// a one-tuple update probes the full relations through their levels
+/// instead of scanning them. The output is the same either way.
 ///
 /// # Panics
 /// Debug-asserts the rule has no negated literals (callers validate the
@@ -348,6 +351,7 @@ pub(crate) fn fire_rule_counted<T: Theory>(
     rule_idx: usize,
     rule: &Rule<T>,
     rels: &[Option<&GenRelation<T>>],
+    delta_at: Option<usize>,
     cache: &mut PlanCache<T>,
 ) -> Result<Vec<GenTuple<T>>> {
     let mut base = GenTuple::top();
@@ -373,7 +377,8 @@ pub(crate) fn fire_rule_counted<T: Theory>(
         }
         atoms.push(data);
     }
-    let (conjs, probes, survivors) = multiway_join(&atoms, &base, rule.var_count());
+    let lead = delta_at.and_then(|li| plan.atom_order.iter().position(|&lj| lj == li));
+    let (conjs, probes, survivors) = multiway_join(&atoms, lead, &base, rule.var_count());
     count(Counter::MultiwayProbes, probes);
     count(Counter::MultiwaySurvivors, survivors);
     record_hist(hist::MULTIWAY_FANOUT, probes);
@@ -467,7 +472,7 @@ fn fire_body_multiway<T: Theory>(
         }
         atoms.push(data);
     }
-    let (conjs, probes, survivors) = multiway_join(&atoms, &base, rule.var_count());
+    let (conjs, probes, survivors) = multiway_join(&atoms, None, &base, rule.var_count());
     count(Counter::MultiwayProbes, probes);
     count(Counter::MultiwaySurvivors, survivors);
     record_hist(hist::MULTIWAY_FANOUT, probes);
@@ -623,13 +628,10 @@ fn fixpoint_rounds<T: Theory>(
         let produced = staged.len();
         let mut delta = 0;
         for (name, t) in staged {
-            let rel = idb.get(&name).expect("initialized").clone();
-            let mut rel = rel;
-            if rel.insert(t) {
+            if idb.get_mut(&name).expect("initialized").insert(t) {
                 changed = true;
                 delta += 1;
             }
-            idb.insert(name, rel);
         }
         iterations += 1;
         let wall_ns = record_round_wall(round_start);
@@ -763,13 +765,9 @@ fn seminaive_rounds<T: Theory>(
         )?;
         for t in fired {
             produced += 1;
-            let mut rel = idb.get(&rule.head.relation).expect("init").clone();
-            if rel.insert(t.clone()) {
-                let mut d = delta.get(&rule.head.relation).expect("init").clone();
-                d.insert(t);
-                delta.insert(rule.head.relation.clone(), d);
+            if idb.get_mut(&rule.head.relation).expect("init").insert(t.clone()) {
+                delta.get_mut(&rule.head.relation).expect("init").insert(t);
             }
-            idb.insert(rule.head.relation.clone(), rel);
         }
     }
     iterations += 1;
@@ -810,13 +808,9 @@ fn seminaive_rounds<T: Theory>(
                 )?;
                 for t in fired {
                     produced += 1;
-                    let mut rel = idb.get(&rule.head.relation).expect("init").clone();
-                    if rel.insert(t.clone()) {
-                        let mut d = next_delta.get(&rule.head.relation).expect("init").clone();
-                        d.insert(t);
-                        next_delta.insert(rule.head.relation.clone(), d);
+                    if idb.get_mut(&rule.head.relation).expect("init").insert(t.clone()) {
+                        next_delta.get_mut(&rule.head.relation).expect("init").insert(t);
                     }
-                    idb.insert(rule.head.relation.clone(), rel);
                 }
             }
         }

@@ -5,13 +5,18 @@
 //! a solver call per pair. A [`SummaryIndex`] is built once per operator
 //! over one side's [`ConstraintSummary`]s and buckets them by a single
 //! *ranged* dimension (the paper's §1.1(3) move: project a generalized
-//! tuple to an interval and search the cheap projections first):
+//! tuple to an interval and search the cheap projections first).
 //!
-//! * pinned dimensions (`lo == hi`) land in a [`BTreeMap`] keyed by the
-//!   point, so a probe interval selects buckets via an `O(log n)` range
-//!   scan — the grid case that dominates active-domain workloads;
-//! * bounded-but-not-pinned dimensions keep their closed [`Interval`]
-//!   hull in a span list probed by linear intersection;
+//! The buckets are a [`SummaryLevel`] — the closed-hull bucket type of
+//! [`cql_core::summary`], shared with the relation store, which keeps one
+//! level per column up to date on every insert and eviction to narrow
+//! its subsumption candidates:
+//!
+//! * pinned dimensions (`lo == hi`) land in a point map, so a probe
+//!   interval selects buckets via an `O(log n)` range scan — the grid
+//!   case that dominates active-domain workloads;
+//! * bounded-but-not-pinned dimensions keep their closed hull in a span
+//!   list probed by linear intersection;
 //! * summaries unbounded at the chosen dimension are always candidates.
 //!
 //! Candidates then pass through [`ConstraintSummary::may_intersect`]
@@ -20,139 +25,64 @@
 //! the soundness law of [`cql_core::summary`] — so pruning never changes
 //! results, only skips pairs that were doomed to canonicalize to ⊥.
 //!
-//! The index is rebuilt at operator entry (`O(n)` summaries) rather than
-//! maintained incrementally: relations mutate freely between operators,
-//! and the build cost is dwarfed by even a handful of avoided solver
-//! calls.
+//! A one-dimensional [`SummaryIndex`] is rebuilt at operator entry
+//! (`O(n)` summaries). The multiway join's per-atom [`SummaryTrie`] is
+//! built once per relation version and, when a later version of the same
+//! relation is probed, carried over by [`SummaryTrie::edit`] (removals
+//! renumbered, new tuples pushed) instead of being rebuilt.
 
 use cql_arith::Rat;
 use cql_core::summary::ConstraintSummary;
+pub use cql_core::summary::SummaryLevel;
 use cql_core::theory::{Theory, Var};
-use cql_index::Interval;
 use cql_trace::{count, span, Counter};
 use std::collections::{BTreeMap, HashMap};
-
-/// One per-variable bucket level: the reusable core of both the
-/// single-dimension [`SummaryIndex`] and the multiway [`SummaryTrie`].
-/// Holds only entry *indices* bucketed by their closed range hull at one
-/// dimension; the owning structure keeps the summaries themselves.
-pub struct SummaryLevel {
-    len: usize,
-    /// Entries pinned at the level's dimension (`lo == hi`), keyed by
-    /// the point.
-    points: BTreeMap<Rat, Vec<usize>>,
-    /// Entries bounded but not pinned: closed interval hulls.
-    spans: Vec<(Interval, usize)>,
-    /// Entries unbounded at the dimension — candidates for every probe.
-    rest: Vec<usize>,
-}
-
-impl SummaryLevel {
-    /// Bucket `summaries` by their closed hull at dimension `dim`.
-    pub fn build<'a, S, I>(dim: Var, summaries: I) -> SummaryLevel
-    where
-        S: ConstraintSummary + 'a,
-        I: IntoIterator<Item = &'a S>,
-    {
-        let mut points: BTreeMap<Rat, Vec<usize>> = BTreeMap::new();
-        let mut spans: Vec<(Interval, usize)> = Vec::new();
-        let mut rest: Vec<usize> = Vec::new();
-        let mut len = 0;
-        for (i, s) in summaries.into_iter().enumerate() {
-            len += 1;
-            match s.range(dim) {
-                Some((lo, hi)) if lo == hi => points.entry(lo).or_default().push(i),
-                Some((lo, hi)) => spans.push((Interval::new(lo, hi), i)),
-                None => rest.push(i),
-            }
-        }
-        SummaryLevel { len, points, spans, rest }
-    }
-
-    /// Number of bucketed entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff the level holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// How many entries actually range the level's dimension (the rest
-    /// are returned by every probe).
-    #[must_use]
-    pub fn bucketed(&self) -> usize {
-        self.len - self.rest.len()
-    }
-
-    /// Estimated heap bytes held by the level's bucket structures
-    /// (points map, span list, catch-all) — a sampling gauge for
-    /// telemetry, not an allocator measurement.
-    #[must_use]
-    pub fn bytes_estimate(&self) -> usize {
-        let point_entry = std::mem::size_of::<(Rat, Vec<usize>)>() + 16;
-        let id = std::mem::size_of::<usize>();
-        let point_ids: usize = self.points.values().map(Vec::len).sum();
-        self.points.len() * point_entry
-            + point_ids * id
-            + self.spans.len() * std::mem::size_of::<(Interval, usize)>()
-            + self.rest.len() * id
-    }
-
-    /// Entry indices whose hull at the level's dimension meets the closed
-    /// probe `range`; all entries (in index order) when the probe is
-    /// unranged. Sound: two summaries whose closed hulls at one dimension
-    /// are disjoint cannot share a solution at that dimension.
-    #[must_use]
-    pub fn candidates(&self, range: Option<(Rat, Rat)>) -> Vec<usize> {
-        let Some((lo, hi)) = range else {
-            return (0..self.len).collect();
-        };
-        let mut out: Vec<usize> = Vec::new();
-        for ids in self.points.range(lo.clone()..=hi.clone()).map(|(_, ids)| ids) {
-            out.extend_from_slice(ids);
-        }
-        let probe = Interval::new(lo, hi);
-        for (iv, i) in &self.spans {
-            if iv.intersects(&probe) {
-                out.push(*i);
-            }
-        }
-        out.extend_from_slice(&self.rest);
-        out
-    }
-}
+use std::sync::OnceLock;
 
 /// One [`SummaryLevel`] per variable of a join atom: the per-atom side of
 /// the multiway (leapfrog-style) rule-body join. A candidate binding's
 /// accumulated range at a variable probes the atom's level at that
 /// variable; an entry survives only if every probed level admits it.
+/// Each level is built on its first probe, so a variable the join never
+/// probes the atom at costs nothing.
 ///
 /// Theories whose summaries range nothing (the boolean algebras) put
 /// every entry in each level's catch-all bucket, degenerating to plain
 /// `may_intersect` filtering — sound, just unselective.
 pub struct SummaryTrie {
-    levels: BTreeMap<Var, SummaryLevel>,
+    levels: BTreeMap<Var, OnceLock<SummaryLevel>>,
 }
 
 impl SummaryTrie {
-    /// Build one level per distinct variable in `vars` over the entry
-    /// summaries.
-    pub fn build<S: ConstraintSummary>(summaries: &[S], vars: &[Var]) -> SummaryTrie {
-        let mut levels = BTreeMap::new();
-        for &v in vars {
-            levels.entry(v).or_insert_with(|| SummaryLevel::build(v, summaries.iter()));
-        }
-        SummaryTrie { levels }
+    /// A trie with one (not yet built) level per distinct variable in
+    /// `vars`.
+    #[must_use]
+    pub fn new(vars: &[Var]) -> SummaryTrie {
+        SummaryTrie { levels: vars.iter().map(|&v| (v, OnceLock::new())).collect() }
     }
 
-    /// The level at `var`, if one was built.
-    #[must_use]
-    pub fn level(&self, var: Var) -> Option<&SummaryLevel> {
-        self.levels.get(&var)
+    /// Carry the trie to an edited entry list: drop the entries at
+    /// `removed` (sorted, distinct), renumber the survivors, then append
+    /// one entry per `appended` summary. Every built level then equals a
+    /// fresh build over the edited list; unbuilt levels stay unbuilt.
+    pub fn edit<S: ConstraintSummary>(&mut self, removed: &[usize], appended: &[S]) {
+        for (&v, level) in &mut self.levels {
+            let Some(level) = level.get_mut() else { continue };
+            if !removed.is_empty() {
+                level.remove_indices(removed);
+            }
+            for s in appended {
+                level.push(s.range(v));
+            }
+        }
+    }
+
+    /// The level at `var` over `summaries` (the trie's entries, entry `i`
+    /// the `i`-th), built on first use; `None` when `var` is not one of
+    /// the trie's variables.
+    pub fn level<S: ConstraintSummary>(&self, var: Var, summaries: &[S]) -> Option<&SummaryLevel> {
+        let level = self.levels.get(&var)?;
+        Some(level.get_or_init(|| SummaryLevel::build(var, summaries.iter())))
     }
 }
 
@@ -173,11 +103,9 @@ pub fn majority_dim<S: ConstraintSummary>(summaries: &[S]) -> Option<Var> {
 /// A one-dimensional bucket index over the summaries of one join side.
 pub struct SummaryIndex<T: Theory> {
     summaries: Vec<T::Summary>,
-    /// The bucketed dimension, `None` when no summary ranges anything
-    /// (every probe then returns all entries).
-    dim: Option<Var>,
-    /// The bucket level at `dim` (empty buckets when `dim` is `None`).
-    level: SummaryLevel,
+    /// The bucketed dimension and its bucket level; `None` when no
+    /// summary ranges anything (every probe then returns all entries).
+    level: Option<(Var, SummaryLevel)>,
 }
 
 impl<T: Theory> SummaryIndex<T> {
@@ -200,17 +128,9 @@ impl<T: Theory> SummaryIndex<T> {
     pub fn with_summaries(summaries: Vec<T::Summary>, dim: Option<Var>) -> SummaryIndex<T> {
         let mut sp = span("summary_index.build", "engine");
         sp.arg("tuples", summaries.len() as u64);
-        let level = match dim {
-            Some(d) => SummaryLevel::build(d, summaries.iter()),
-            None => SummaryLevel {
-                len: summaries.len(),
-                points: BTreeMap::new(),
-                spans: Vec::new(),
-                rest: Vec::new(),
-            },
-        };
-        sp.arg("bucketed", level.bucketed() as u64);
-        SummaryIndex { summaries, dim, level }
+        let level = dim.map(|d| (d, SummaryLevel::build(d, summaries.iter())));
+        sp.arg("bucketed", level.as_ref().map_or(0, |(_, l)| l.bucketed()) as u64);
+        SummaryIndex { summaries, level }
     }
 
     /// Number of indexed entries.
@@ -229,7 +149,8 @@ impl<T: Theory> SummaryIndex<T> {
     /// the bucket level. A sampling gauge for telemetry.
     #[must_use]
     pub fn bytes_estimate(&self) -> usize {
-        self.summaries.len() * std::mem::size_of::<T::Summary>() + self.level.bytes_estimate()
+        self.summaries.len() * std::mem::size_of::<T::Summary>()
+            + self.level.as_ref().map_or(0, |(_, l)| l.bytes_estimate())
     }
 
     /// Indices whose bucket at the index dimension meets `range` (a
@@ -238,10 +159,10 @@ impl<T: Theory> SummaryIndex<T> {
     /// two summaries whose closed hulls at one dimension are disjoint
     /// cannot share a solution at that dimension.
     fn bucket_candidates(&self, range: Option<(Rat, Rat)>) -> Vec<usize> {
-        let (Some(_), Some(range)) = (self.dim, range) else {
+        let (Some((_, level)), Some(range)) = (&self.level, range) else {
             return (0..self.summaries.len()).collect();
         };
-        self.level.candidates(Some(range))
+        level.candidates(Some(range))
     }
 
     /// Candidate entries for a probe summary: bucket scan at the index
@@ -252,7 +173,7 @@ impl<T: Theory> SummaryIndex<T> {
     #[must_use]
     pub fn matches(&self, probe: &T::Summary) -> Vec<usize> {
         count(Counter::PruneCandidates, self.summaries.len() as u64);
-        let range = self.dim.and_then(|d| probe.range(d));
+        let range = self.level.as_ref().and_then(|(d, _)| probe.range(*d));
         let survivors: Vec<usize> = self
             .bucket_candidates(range)
             .into_iter()

@@ -14,7 +14,9 @@
 //! wildcard columns, variable-equality cells) whose closures exercise
 //! quantifier elimination rather than finite enumeration.
 //!
-//! Dense and equality run the recursive transitive closure; Datalog
+//! Dense and equality run the recursive transitive closure (dense also
+//! the nonlinear one, whose delta rounds must read the pre-round IDB at
+//! the atom after the delta atom); Datalog
 //! over polynomial constraints is not closed in general (Example 1.12)
 //! and the boolean worked examples live in `cql-bool`, so those two
 //! theories run a non-recursive two-atom join program, which always
@@ -40,6 +42,22 @@ fn tc_program<T: Theory>() -> Program<T> {
             vec![
                 Literal::Pos(Atom::new("T", vec![0, 1])),
                 Literal::Pos(Atom::new("E", vec![1, 2])),
+            ],
+        ),
+    ])
+}
+
+/// Nonlinear transitive closure: T(x,y) ← E(x,y); T(x,z) ← T(x,y), T(y,z).
+/// A delta round of `T` binds the second `T` atom to the pre-round `T`
+/// when the first is the delta, so counting needs that snapshot.
+fn nonlinear_tc_program<T: Theory>() -> Program<T> {
+    Program::new(vec![
+        Rule::new(Atom::new("T", vec![0, 1]), vec![Literal::Pos(Atom::new("E", vec![0, 1]))]),
+        Rule::new(
+            Atom::new("T", vec![0, 2]),
+            vec![
+                Literal::Pos(Atom::new("T", vec![0, 1])),
+                Literal::Pos(Atom::new("T", vec![1, 2])),
             ],
         ),
     ])
@@ -187,6 +205,11 @@ proptest! {
     #[test]
     fn dense_tc_view_tracks_batch(ops in script(dense_edge())) {
         assert_view_tracks_batch(&tc_program(), "E", 2, &[], &ops, "T");
+    }
+
+    #[test]
+    fn dense_nonlinear_tc_view_tracks_batch(ops in script(dense_edge())) {
+        assert_view_tracks_batch(&nonlinear_tc_program(), "E", 2, &[], &ops, "T");
     }
 
     #[test]

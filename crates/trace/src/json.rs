@@ -410,11 +410,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or_else(|| "empty".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run of the already-valid input ends on a
+                // scalar boundary and validating it costs only its length.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -435,6 +438,27 @@ mod tests {
         for text in [v.render(), v.pretty()] {
             assert_eq!(parse(&text).unwrap(), v, "failed on {text}");
         }
+    }
+
+    #[test]
+    fn strings_round_trip_multibyte_and_escapes() {
+        let v = Json::Arr(vec![
+            Json::from("ε ⊨ ⊤ — 𝔽₂ \u{1f600}"),
+            Json::from("tab\tquote\"back\\slash\u{1}nl\n"),
+            Json::from(""),
+        ]);
+        for text in [v.render(), v.pretty()] {
+            assert_eq!(parse(&text).unwrap(), v, "failed on {text}");
+        }
+        assert_eq!(parse(r#""\u00e9\u2200x""#).unwrap(), Json::from("é∀x"));
+    }
+
+    #[test]
+    fn parses_a_megabyte_string_in_linear_time() {
+        let long: String = "αβγ\\\"δ ".repeat(1 << 17);
+        assert!(long.len() >= 1 << 20);
+        let v = Json::obj().field("s", long.as_str());
+        assert_eq!(parse(&v.render()).unwrap(), v);
     }
 
     #[test]
