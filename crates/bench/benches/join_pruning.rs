@@ -2,7 +2,7 @@
 //!
 //! Each benchmark joins two n-tuple pinned-point relations on one column
 //! (the composition step of transitive closure) twice: once with
-//! `EnginePolicy::with_filtering(false)` — every pair of disjuncts is
+//! `JoinMode::Exhaustive` — every pair of disjuncts is
 //! handed to the solver — and once with filtering on, where the engine's
 //! summary index buckets the right side by its join column and only
 //! interval-compatible pairs reach the solver. The companion acceptance
@@ -13,7 +13,7 @@ use cql_arith::{Poly, Rat};
 use cql_bool::{BoolAlg, BoolConstraint, BoolTerm};
 use cql_core::relation::GenRelation;
 use cql_core::theory::Theory;
-use cql_core::EnginePolicy;
+use cql_core::{EnginePolicy, JoinMode};
 use cql_dense::{Dense, DenseConstraint};
 use cql_engine::{algebra, Engine, Executor};
 use cql_equality::{EqConstraint, Equality};
@@ -38,11 +38,11 @@ fn bench_theory<T: Theory>(
     group.sample_size(3);
     let a = chain::<T>(n, pin);
     let b = chain::<T>(n, pin);
-    for (label, filtering) in [("exhaustive", false), ("pruned", true)] {
-        group.bench_with_input(BenchmarkId::new(label, n), &filtering, |bch, &f| {
+    for (label, join) in [("exhaustive", JoinMode::Exhaustive), ("pruned", JoinMode::Multiway)] {
+        group.bench_with_input(BenchmarkId::new(label, n), &join, |bch, &join| {
             bch.iter(|| {
-                let engine: Engine<T> =
-                    Engine::new(Executor::serial(), EnginePolicy::default().with_filtering(f));
+                let policy = EnginePolicy { join, ..EnginePolicy::default() };
+                let engine: Engine<T> = Engine::new(Executor::serial(), policy);
                 algebra::join_with(&engine, &a, &b, &[(1, 0)]).len()
             });
         });

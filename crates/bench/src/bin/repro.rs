@@ -497,8 +497,8 @@ fn engine_store(em: &mut Emitter) -> EvalReport {
     let engine = opts.engine();
     let scope = MetricsScope::enter("e13.fixpoint");
     let start = Instant::now();
-    let (result, rounds, plans) =
-        datalog::seminaive_explain_with(&engine, &program, &db, &opts).unwrap();
+    let result =
+        datalog::fixpoint(&engine, &program, &db, &opts, datalog::Strategy::SemiNaive).unwrap();
     let wall = start.elapsed();
     let snap = scope.snapshot();
     drop(scope);
@@ -507,11 +507,11 @@ fn engine_store(em: &mut Emitter) -> EvalReport {
         "dense linear order",
         threads,
         &snap,
-        rounds,
+        result.rounds,
         result.idb.get("T").map_or(0, cql_core::GenRelation::len) as u64,
         u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
     )
-    .with_plans(plans)
+    .with_plans(result.plans)
     .with_gauges(engine.gauges());
     em.note("");
     em.note(&report.render_text());
@@ -612,7 +612,7 @@ fn overhead(em: &mut Emitter) -> f64 {
 /// entailment checks, summed over both fixpoint engines). The selfcheck
 /// enforces `same_results && reduction >= 2`.
 fn filtering(em: &mut Emitter) -> (bool, f64) {
-    use cql_core::EnginePolicy;
+    use cql_core::{EnginePolicy, JoinMode};
     em.section("e16", "filter-before-solve: summary pruning and the QE memo cache");
     em.note("naive + semi-naive TC over the 48-node dense chain (2^10-scale:");
     em.note("1176 closure tuples). Policy A/B — 'off' hands every disjunct pair");
@@ -625,7 +625,10 @@ fn filtering(em: &mut Emitter) -> (bool, f64) {
     let program = tc_program_dense();
     let run = |semi: bool, filtering: bool| {
         let opts = FixpointOptions {
-            policy: EnginePolicy::default().with_filtering(filtering),
+            policy: EnginePolicy {
+                join: if filtering { JoinMode::Multiway } else { JoinMode::Exhaustive },
+                ..EnginePolicy::default()
+            },
             ..FixpointOptions::default()
         };
         let scope = MetricsScope::enter(if filtering { "e16.on" } else { "e16.off" });
@@ -700,7 +703,7 @@ fn filtering(em: &mut Emitter) -> (bool, f64) {
 /// (canonicalization requests + QE calls, summed over naive and
 /// semi-naive). The selfcheck enforces `byte_identical && reduction >= 2`.
 fn multiway(em: &mut Emitter) -> (bool, f64) {
-    use cql_core::EnginePolicy;
+    use cql_core::{EnginePolicy, JoinMode};
     em.section("e17", "engine: constraint-aware multiway join vs binary-pruned fold");
     em.note("path-join program over the 24-node dense chain:");
     em.note("  T(x,w) :- T(x,y), E(y,z), E(z,w)   (3-atom recursive body)");
@@ -736,7 +739,10 @@ fn multiway(em: &mut Emitter) -> (bool, f64) {
     };
     let run = |semi: bool, multiway_on: bool| {
         let opts = FixpointOptions {
-            policy: EnginePolicy::default().with_multiway(multiway_on),
+            policy: EnginePolicy {
+                join: if multiway_on { JoinMode::Multiway } else { JoinMode::Binary },
+                ..EnginePolicy::default()
+            },
             ..FixpointOptions::default()
         };
         let scope = MetricsScope::enter(if multiway_on { "e17.multiway" } else { "e17.binary" });
@@ -806,7 +812,7 @@ fn multiway(em: &mut Emitter) -> (bool, f64) {
     // The EXPLAIN artifact: the chosen variable orders and probe totals
     // of the multiway run, as the report renders them.
     let opts = FixpointOptions::default();
-    let (_, _, plans) = datalog::seminaive_explain(&program, &db, &opts).unwrap();
+    let plans = datalog::seminaive(&program, &db, &opts).unwrap().plans;
     em.note("");
     for p in &plans {
         let order = p.var_order.iter().map(|v| format!("x{v}")).collect::<Vec<_>>().join(" ");
@@ -1008,7 +1014,7 @@ fn telemetry_runtime(em: &mut Emitter) -> TelemetryOutcome {
         let _g = fixpoint_handle.install();
         let start = Instant::now();
         loop {
-            datalog::seminaive_with(&engine, &program, &db, &opts).unwrap();
+            datalog::fixpoint(&engine, &program, &db, &opts, datalog::Strategy::SemiNaive).unwrap();
             reps += 1;
             if start.elapsed() >= Duration::from_millis(25) {
                 break;

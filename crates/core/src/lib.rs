@@ -42,7 +42,7 @@ pub mod theory;
 
 pub use error::{CqlError, Result};
 pub use formula::{CalculusQuery, Formula};
-pub use policy::{EnginePolicy, SubsumptionMode};
+pub use policy::{EnginePolicy, JoinMode, SubsumptionMode};
 pub use relation::{Database, GenRelation, GenTuple};
 pub use summary::{BoxSummary, ConstraintSummary, NoSummary, SummaryLevel};
 pub use theory::{CellTheory, Theory, Var};

@@ -34,49 +34,52 @@ pub enum SubsumptionMode {
     IndexedUpTo(usize),
 }
 
+/// How joins enumerate candidate combinations: the one evaluation knob
+/// besides [`SubsumptionMode`]. Every mode computes the same results;
+/// they differ in wall time and counters, which is what the E16/E17
+/// ablations measure.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JoinMode {
+    /// The default. Algebra products/joins/selections probe a summary
+    /// index ([`crate::summary::ConstraintSummary`]) and conjoin only
+    /// pairs whose summaries may intersect, quantifier elimination goes
+    /// through the engine's memo cache, and every Datalog rule body fires
+    /// through the variable-at-a-time multiway join: one summary level
+    /// per (atom, variable), leapfrog-intersected, so the solver
+    /// canonicalizes one conjunction per surviving *full* combination.
+    Multiway,
+    /// Summary pruning and the QE cache as in [`JoinMode::Multiway`], but
+    /// rule bodies fold their atoms left to right, canonicalizing every
+    /// surviving intermediate pair (the E17 baseline).
+    Binary,
+    /// No summary consultation and no QE cache: the binary fold over
+    /// every pair of disjuncts (the E16 baseline).
+    Exhaustive,
+}
+
+impl JoinMode {
+    /// Do summaries prune candidate pairs and is QE memoized? True for
+    /// every mode but [`JoinMode::Exhaustive`]. Sound either way: pruned
+    /// pairs are provably jointly unsatisfiable.
+    #[must_use]
+    pub fn filters(self) -> bool {
+        self != JoinMode::Exhaustive
+    }
+}
+
 /// Policy block consulted by [`crate::GenRelation`] and the evaluation
 /// engine. Construct with [`EnginePolicy::default`] and override fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EnginePolicy {
     /// Subsumption compression mode (default [`SubsumptionMode::Indexed`]).
     pub subsumption: SubsumptionMode,
-    /// Summary-pruned joins (default `true`): algebra products/joins and
-    /// Datalog rule firings probe a per-relation summary index
-    /// ([`crate::summary::ConstraintSummary`]) and conjoin only candidate
-    /// pairs whose summaries may intersect. Sound — pruned pairs are
-    /// provably jointly unsatisfiable — so turning this off changes wall
-    /// time and counters, never results.
-    pub join_pruning: bool,
-    /// The engine's bounded quantifier-elimination memo cache (default
-    /// `true`): repeated eliminations of the same conjunction × variable
-    /// across rounds and rules skip the solver. Results are identical
-    /// with the cache off.
-    pub qe_cache: bool,
-    /// Variable-at-a-time multiway rule-body joins (default `true`):
-    /// Datalog rule firings with ≥2 relational body atoms build one
-    /// summary level per (atom, variable) and leapfrog-intersect them,
-    /// so the solver canonicalizes one conjunction per *surviving full
-    /// combination* instead of one per intermediate pair. Sound and
-    /// complete — same results as the binary `conjoin_atom` fold, with
-    /// far fewer solver-visible calls on 3+-atom bodies.
-    pub multiway_join: bool,
-    /// Below this many intermediate conjunctions, per-variable QE and
-    /// head-rename batches in rule firing run serially instead of being
-    /// dispatched through the executor (default 16): single-digit
-    /// batches pay more in dispatch bookkeeping than a worker could
-    /// recover. Results are identical either way.
-    pub serial_batch_threshold: usize,
+    /// Join enumeration (default [`JoinMode::Multiway`]).
+    pub join: JoinMode,
 }
 
 impl Default for EnginePolicy {
     fn default() -> EnginePolicy {
-        EnginePolicy {
-            subsumption: SubsumptionMode::Indexed,
-            join_pruning: true,
-            qe_cache: true,
-            multiway_join: true,
-            serial_batch_threshold: 16,
-        }
+        EnginePolicy { subsumption: SubsumptionMode::Indexed, join: JoinMode::Multiway }
     }
 }
 
@@ -85,23 +88,5 @@ impl EnginePolicy {
     #[must_use]
     pub fn with_subsumption(subsumption: SubsumptionMode) -> EnginePolicy {
         EnginePolicy { subsumption, ..EnginePolicy::default() }
-    }
-
-    /// This policy with filter-before-solve (summary pruning and the QE
-    /// cache) switched on or off together — the E16 A/B knob. Also turns
-    /// the multiway join off: exhaustive mode means the plain binary
-    /// fold with no summary consultation at all.
-    #[must_use]
-    pub fn with_filtering(self, on: bool) -> EnginePolicy {
-        EnginePolicy { join_pruning: on, qe_cache: on, multiway_join: on, ..self }
-    }
-
-    /// This policy with the variable-at-a-time multiway join switched on
-    /// or off — the E17 A/B knob. With it off (and `join_pruning` still
-    /// on) rule bodies fall back to the binary-pruned `conjoin_atom`
-    /// fold. Results are identical either way.
-    #[must_use]
-    pub fn with_multiway(self, on: bool) -> EnginePolicy {
-        EnginePolicy { multiway_join: on, ..self }
     }
 }

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use cql_bool::{BoolAlg, BoolConstraint, BoolTerm};
     pub use cql_core::{
         CalculusQuery, CellTheory, CqlError, Database, EnginePolicy, Formula, GenRelation,
-        GenTuple, SubsumptionMode, Theory,
+        GenTuple, JoinMode, SubsumptionMode, Theory,
     };
     pub use cql_dense::{Dense, DenseConstraint, RConfig};
     pub use cql_engine::datalog::{

@@ -139,3 +139,34 @@ fn stratified_agrees_with_seminaive_on_positive_programs() {
         }
     }
 }
+
+#[test]
+fn stratified_respects_the_options_policy() {
+    use cql_core::{EnginePolicy, GenTuple, SubsumptionMode};
+    use std::collections::HashSet;
+    let mut program = tc_program();
+    program.rules.push(Rule::new(
+        Atom::new("U", vec![0, 1]),
+        vec![
+            Literal::Pos(Atom::new("E", vec![0, 2])),
+            Literal::Pos(Atom::new("E", vec![1, 3])),
+            Literal::Neg(Atom::new("T", vec![0, 1])),
+        ],
+    ));
+    let edb = chain(4);
+    let opts = FixpointOptions {
+        policy: EnginePolicy::with_subsumption(SubsumptionMode::Quadratic),
+        ..FixpointOptions::default()
+    };
+    let quadratic = analysis::stratified(&program, &edb, &opts).unwrap();
+    let default = analysis::stratified(&program, &edb, &FixpointOptions::default()).unwrap();
+    assert_eq!(quadratic.rounds.len(), quadratic.iterations);
+    let set = |rel: &GenRelation<Dense>| {
+        rel.tuples().iter().cloned().collect::<HashSet<GenTuple<Dense>>>()
+    };
+    for name in ["T", "U"] {
+        let rel = quadratic.idb.get(name).unwrap();
+        assert_eq!(rel.policy(), opts.policy, "`{name}` ignores the options' policy");
+        assert_eq!(set(rel), set(default.idb.get(name).unwrap()), "`{name}` differs");
+    }
+}

@@ -44,8 +44,7 @@ pub fn select_with<T: Theory>(
         // Filter-before-solve: one summary for the selection constraints,
         // one per tuple; pairs whose summaries refute intersection are
         // unsatisfiable (soundness law) and skip the solver entirely.
-        let pruning = engine.policy.join_pruning;
-        let sel = pruning.then(|| T::summary(constraints));
+        let sel = engine.policy.join.filters().then(|| T::summary(constraints));
         let tuples = engine.executor.map(rel.tuples().to_vec(), |t| {
             if let Some(sel) = &sel {
                 count(Counter::PruneCandidates, 1);
@@ -177,7 +176,8 @@ pub fn intersect_with<T: Theory>(
         // comparable: index the right side, probe per left tuple.
         let index = engine
             .policy
-            .join_pruning
+            .join
+            .filters()
             .then(|| SummaryIndex::<T>::build(b.tuples().iter().map(|t| t.constraints())));
         let tuples = engine.executor.flat_map(a.tuples().to_vec(), |ta| {
             let bs = b.tuples();
@@ -250,7 +250,7 @@ pub fn join_with<T: Theory>(
     op_timed("algebra.join", || {
         let shift = a.arity();
         let eqs: Vec<T::Constraint> = on.iter().map(|&(l, r)| T::var_eq(l, r + shift)).collect();
-        if !engine.policy.join_pruning || on.is_empty() {
+        if !engine.policy.join.filters() || on.is_empty() {
             return select_with(engine, &product_with(engine, a, b), &eqs);
         }
         // Pruned path. The two sides live in disjoint column spaces, so

@@ -4,9 +4,9 @@
 //! closing remark alludes to).
 
 use crate::datalog::ast::{Literal, Program};
-use crate::datalog::symbolic::{fixpoint_stratum, FixpointOptions, FixpointResult};
+use crate::datalog::symbolic::{fixpoint, FixpointOptions, FixpointResult, Strategy};
 use cql_core::error::{CqlError, Result};
-use cql_core::relation::{Database, GenRelation};
+use cql_core::relation::Database;
 use cql_core::theory::Theory;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -166,35 +166,35 @@ pub fn stratify<T: Theory>(program: &Program<T>) -> Result<Vec<BTreeSet<String>>
 /// own fixpoint, with negated atoms reading the *completed* lower strata
 /// — the classical semantics, complementing the paper's inflationary one.
 ///
+/// Every stratum runs through [`fixpoint`] on one shared engine built
+/// from `opts` (so the IDB relations carry `opts.policy`), with the
+/// completed lower strata added to its EDB. The result lists each
+/// stratum's rounds in turn.
+///
 /// # Errors
-/// Stratification errors, plus everything [`crate::datalog::naive`] can
-/// return.
+/// Stratification errors, plus everything [`fixpoint`] can return.
 pub fn stratified<T: Theory>(
     program: &Program<T>,
     edb: &Database<T>,
     opts: &FixpointOptions,
 ) -> Result<FixpointResult<T>> {
     program.validate(edb, true)?;
-    let strata = stratify(program)?;
-    let arities = program.arities()?;
+    let engine = opts.engine();
+    let mut lower = edb.clone();
     let mut idb: Database<T> = Database::new();
-    for name in program.idb_predicates() {
-        idb.insert(name.clone(), GenRelation::empty(arities[&name]));
-    }
-    let mut total_iterations = 0;
-    for stratum in &strata {
-        // Fire only the rules whose head is in this stratum, against the
-        // accumulated instance.
+    let (mut rounds, mut plans) = (Vec::new(), Vec::new());
+    for stratum in &stratify(program)? {
         let rules: Vec<_> =
             program.rules.iter().filter(|r| stratum.contains(&r.head.relation)).cloned().collect();
-        let sub = Program::new(rules);
-        let result = fixpoint_stratum(&sub, edb, &idb, opts)?;
-        total_iterations += result.iterations;
+        let result = fixpoint(&engine, &Program::new(rules), &lower, opts, Strategy::Inflationary)?;
         for (name, rel) in result.idb.iter() {
+            lower.insert(name.to_string(), rel.clone());
             idb.insert(name.to_string(), rel.clone());
         }
+        rounds.extend(result.rounds);
+        plans.extend(result.plans);
     }
-    Ok(FixpointResult { idb, iterations: total_iterations })
+    Ok(FixpointResult { idb, iterations: rounds.len(), rounds, plans })
 }
 
 #[cfg(test)]

@@ -73,10 +73,15 @@ pub struct CellFixpointResult<T: CellTheory> {
 }
 
 impl<T: CellTheory> CellFixpointResult<T> {
-    /// View as a plain [`FixpointResult`].
+    /// View as a plain [`FixpointResult`] (without per-round telemetry).
     #[must_use]
     pub fn into_fixpoint(self) -> FixpointResult<T> {
-        FixpointResult { idb: self.idb, iterations: self.iterations }
+        FixpointResult {
+            idb: self.idb,
+            iterations: self.iterations,
+            rounds: Vec::new(),
+            plans: Vec::new(),
+        }
     }
 }
 

@@ -12,7 +12,9 @@
 //!   distinct derived tuple — plus a count per tuple of how many
 //!   derivations currently produce it. A derivation is one (rule,
 //!   satisfiable body combination, QE disjunct), enumerated by the
-//!   multiplicity-preserving `fire_rule_counted` of the symbolic module.
+//!   multiplicity-preserving multiway firing that the batch engines of
+//!   the symbolic module also use (they deduplicate its output; the view
+//!   counts it).
 //!   Storing *all* derived tuples (not just the subsumption-maximal
 //!   antichain) is what makes counting subsumption-aware: a derivation
 //!   whose premise is subsumed by a surviving tuple still counts,
@@ -54,7 +56,7 @@
 
 use crate::datalog::ast::{Literal, Program, Rule};
 use crate::datalog::plan::PlanCache;
-use crate::datalog::symbolic::{fire_rule_counted, FixpointOptions};
+use crate::datalog::symbolic::{check_budget, fire_multiway, project_conjs, FixpointOptions};
 use crate::Engine;
 use cql_core::error::{CqlError, Result};
 use cql_core::policy::{EnginePolicy, SubsumptionMode};
@@ -169,7 +171,8 @@ impl<T: Theory> MaterializedView<T> {
                 continue;
             }
             let rels: Vec<Option<&GenRelation<T>>> = vec![None; rule.body.len()];
-            let fired = fire_rule_counted(engine, ri, rule, &rels, None, cache)?;
+            let fired =
+                project_conjs(engine, rule, fire_multiway(engine, ri, rule, &rels, None, cache))?;
             let head = &rule.head.relation;
             for t in fired {
                 count(Counter::SupportAdjust, 1);
@@ -374,7 +377,7 @@ impl<T: Theory> MaterializedView<T> {
         } = self;
         let mut rounds = 0usize;
         while !delta.is_empty() {
-            check_budget(stores, rounds, opts)?;
+            check_budget(stores.values().map(GenRelation::len).sum(), rounds, opts)?;
             rounds += 1;
             count(Counter::DeltaRounds, 1);
             let mut round_span = span("view.delta_round", "round");
@@ -404,7 +407,11 @@ impl<T: Theory> MaterializedView<T> {
                     let Literal::Pos(a) = lit else { continue };
                     let Some(drel) = drels.get(&a.relation) else { continue };
                     let rels = bind_positions(rule, li, drel, stores, &old);
-                    let fired = fire_rule_counted(engine, ri, rule, &rels, Some(li), cache)?;
+                    let fired = project_conjs(
+                        engine,
+                        rule,
+                        fire_multiway(engine, ri, rule, &rels, Some(li), cache),
+                    )?;
                     let head = &rule.head.relation;
                     for t in fired {
                         count(Counter::SupportAdjust, 1);
@@ -457,7 +464,7 @@ impl<T: Theory> MaterializedView<T> {
             d.insert(relation.to_string(), vec![tuple]);
             let mut rounds = 0usize;
             while !d.is_empty() {
-                check_budget(stores, rounds, opts)?;
+                check_budget(stores.values().map(GenRelation::len).sum(), rounds, opts)?;
                 rounds += 1;
                 count(Counter::DeltaRounds, 1);
                 let mut round_span = span("view.delta_round", "round");
@@ -485,7 +492,11 @@ impl<T: Theory> MaterializedView<T> {
                         let Literal::Pos(a) = lit else { continue };
                         let Some(drel) = drels.get(&a.relation) else { continue };
                         let rels = bind_positions(rule, li, drel, stores, &old);
-                        let fired = fire_rule_counted(engine, ri, rule, &rels, Some(li), cache)?;
+                        let fired = project_conjs(
+                            engine,
+                            rule,
+                            fire_multiway(engine, ri, rule, &rels, Some(li), cache),
+                        )?;
                         let head = &rule.head.relation;
                         for t in fired {
                             count(Counter::SupportAdjust, 1);
@@ -589,27 +600,6 @@ fn reads_old<T: Theory, D>(program: &Program<T>, delta: &BTreeMap<String, D>, na
                 && rule.body[li + 1..].iter().any(|later| relation(later) == Some(name))
         })
     })
-}
-
-fn check_budget<T: Theory>(
-    stores: &BTreeMap<String, GenRelation<T>>,
-    rounds: usize,
-    opts: &FixpointOptions,
-) -> Result<()> {
-    if rounds >= opts.max_iterations {
-        return Err(CqlError::NotClosed {
-            reason: "incremental propagation exceeded the iteration budget".into(),
-            iterations: rounds,
-        });
-    }
-    let size: usize = stores.values().map(GenRelation::len).sum();
-    if size > opts.max_tuples {
-        return Err(CqlError::NotClosed {
-            reason: format!("derivation stores grew past {} tuples", opts.max_tuples),
-            iterations: rounds,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! Datalog + constraints: AST and bottom-up evaluation engines.
 //!
 //! * [`ast`] — rules and programs (Definition 1.10);
-//! * [`symbolic`] — naive / semi-naive / inflationary fixpoints by joining
-//!   generalized tuples and eliminating quantifiers;
+//! * [`symbolic`] — the one bottom-up [`fixpoint`] (naive, semi-naive or
+//!   inflationary [`Strategy`]) by joining generalized tuples and
+//!   eliminating quantifiers;
 //! * [`plan`] — per-rule multiway join planning (variable elimination
 //!   orders, cached per-atom summary levels, the leapfrog search);
 //! * [`incremental`] — a [`incremental::MaterializedView`] keeping a
 //!   positive program's IDB maintained under single-tuple EDB inserts
 //!   and retracts (counting/DRed support tracking, delta-restricted
-//!   firings over the multiway plans);
+//!   firings through the same multiway firing as the batch fixpoint);
 //! * [`herbrand`] — the §3.2 generalized-Herbrand-atom (cell-based)
 //!   evaluation for theories with finite cell decompositions, including
 //!   the §3.3 parallel evaluation and derivation-tree statistics.
@@ -28,6 +29,5 @@ pub use herbrand::{
 pub use incremental::MaterializedView;
 pub use plan::JoinPlan;
 pub use symbolic::{
-    inflationary, naive, naive_explain, naive_explain_with, seminaive, seminaive_explain,
-    seminaive_explain_with, seminaive_with, FixpointOptions, FixpointResult,
+    fixpoint, inflationary, naive, seminaive, FixpointOptions, FixpointResult, Strategy,
 };

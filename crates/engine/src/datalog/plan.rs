@@ -1,18 +1,23 @@
 //! Per-rule multiway join planning for symbolic rule firing.
 //!
-//! The binary `conjoin_atom` fold pays a solver call (an interner
+//! A left-to-right binary fold pays a solver call (an interner
 //! canonicalization) per *intermediate* pair that survives summary
 //! pruning; with three or more relational body atoms the intermediate
-//! products are the quadratic wall. The multiway path instead picks a
+//! products are the quadratic wall. The multiway join instead picks a
 //! **variable elimination order** per rule (join variables first,
 //! frequency-weighted, deterministic on ties), builds one
-//! [`SummaryLevel`](crate::summary_index::SummaryLevel) per
+//! [`SummaryLevel`] per
 //! (atom, variable) from the per-variable summary projections — interval
 //! spans for the dense/poly box summaries, partition point-ranges for
 //! equality, degenerate catch-all levels for the boolean masks — and
 //! backtracks over atoms, leapfrog-intersecting the levels: a candidate
 //! binding survives only if *every* body atom's summary admits it, and
-//! the solver is called once per surviving **full** combination.
+//! the solver is called once per surviving **full** combination. Every
+//! rule body fires this way under the default
+//! [`JoinMode::Multiway`](cql_core::JoinMode::Multiway), whatever its
+//! atom count and whether its atoms are negated (a negated atom joins
+//! its relation's complement); the binary fold survives only as the
+//! ablation baseline.
 //!
 //! Soundness is the summary soundness law plus interval-hull reasoning:
 //! every filter only discards combinations whose conjunction is provably
@@ -24,8 +29,8 @@
 //! variable), which is why the accumulated-bounds probe loses nothing
 //! against the pairwise `may_intersect` checks it complements.
 //!
-//! `PlanCache` memoizes, per fixpoint run: the per-rule [`JoinPlan`]
-//! (rule structure never changes mid-run), and the per-atom renamed
+//! `PlanCache` memoizes, per fixpoint run or materialized view: the
+//! per-rule [`JoinPlan`] (rule structure never changes), and the per-atom renamed
 //! tuples / summaries / levels keyed by the source relation's content
 //! version — so unchanged EDB relations are renamed and bucketed once
 //! for the whole run, not once per round (the reuse is visible as
@@ -193,7 +198,7 @@ impl<T: Theory> AtomData<T> {
     }
 
     /// One-dimensional summary index (binary fold path); `None` when
-    /// join pruning is off.
+    /// the join mode does not filter.
     pub fn index(&self, pruning: bool) -> Option<&SummaryIndex<T>> {
         self.index
             .get_or_init(|| {

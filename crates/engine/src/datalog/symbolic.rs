@@ -8,47 +8,52 @@
 //! program's constants being finite (dense order: order networks;
 //! equality: partition shapes; boolean: the `2^2^(m+v)` bound of Thm 5.6).
 //!
-//! Three engines are provided:
-//! * [`naive`] — recompute every rule against the full instance per round;
-//! * [`seminaive`] — delta-driven firing for positive programs;
-//! * [`inflationary`] — Datalog¬ with inflationary negation (§1.2), where
-//!   `¬R` is the DNF complement of the current stage of `R`.
+//! Bottom-up evaluation is one operator, `T_P`, applied until nothing
+//! changes. [`fixpoint`] runs it under one of three [`Strategy`]s, which
+//! differ only in which instance each body literal reads:
+//! * [`Strategy::Naive`] — every rule against the full instance per round;
+//! * [`Strategy::SemiNaive`] — after the first round, one firing per IDB
+//!   body atom bound to the tuples new in the previous round (positive
+//!   programs);
+//! * [`Strategy::Inflationary`] — Datalog¬ with inflationary negation
+//!   (§1.2), where `¬R` reads the DNF complement of the current stage of
+//!   `R`.
 //!
-//! All engines take an iteration/size budget and report
-//! [`CqlError::NotClosed`] when exceeded — which is the *expected* outcome
-//! for Datalog with polynomial constraints (Example 1.12).
+//! [`naive`], [`seminaive`] and [`inflationary`] forward to it with an
+//! engine built from the [`FixpointOptions`]. Every run takes an
+//! iteration/size budget and reports [`CqlError::NotClosed`] when it is
+//! exceeded — which is the *expected* outcome for Datalog with polynomial
+//! constraints (Example 1.12) — and every result carries its per-round
+//! [`RoundStats`] and per-rule [`PlanStats`] (the EXPLAIN report).
 //!
-//! Each engine threads an [`Engine`] context through rule firing: the
-//! per-round batches of tuple conjunctions and quantifier eliminations run
-//! on its executor, and every derived conjunction is canonicalized through
-//! its interner (so re-derivations across rounds skip the solver). The
-//! plain entry points build a context from [`FixpointOptions`]; the
-//! `*_with` variants accept a caller-owned one, sharing its interner
-//! across calls.
+//! The [`Engine`] context is threaded through rule firing: the per-round
+//! batches of QE run on its executor, and every derived conjunction is
+//! canonicalized through its interner (so re-derivations across rounds
+//! skip the solver).
 //!
-//! Rule bodies with two or more relational atoms default to the
-//! **multiway join** of [`super::plan`] (see
-//! [`EnginePolicy::multiway_join`]): instead of folding atoms
-//! left-to-right and canonicalizing every intermediate pair, a per-rule
-//! [`JoinPlan`](super::plan::JoinPlan) picks a variable elimination
-//! order, per-atom summary levels are leapfrog-intersected, and the
-//! solver sees one conjunction per surviving *full* combination. The
-//! binary fold remains both the fallback (`multiway_join: false`, or a
-//! single relational atom) and the equivalence baseline in the property
-//! tests.
+//! Under the default [`JoinMode::Multiway`], every rule body fires
+//! through `fire_multiway`: constraint literals seed a base
+//! conjunction, a per-rule [`JoinPlan`](super::plan::JoinPlan) orders the
+//! relational atoms, per-atom summary levels are leapfrog-intersected
+//! from the delta atom first, and the solver sees one conjunction per
+//! surviving *full* combination. The same firing serves incremental
+//! maintenance ([`super::incremental`]). The binary left-to-right fold
+//! remains only as the [`JoinMode::Binary`] / [`JoinMode::Exhaustive`]
+//! ablation baseline and the equivalence reference of the property tests.
 
-use crate::datalog::ast::{Atom, Literal, Program, Rule};
+use crate::datalog::ast::{Literal, Program, Rule};
 use crate::datalog::plan::{multiway_join, AtomData, PlanCache};
 use crate::executor::Executor;
 use crate::Engine;
 use cql_core::error::{CqlError, Result};
-use cql_core::policy::EnginePolicy;
+use cql_core::policy::{EnginePolicy, JoinMode};
 use cql_core::relation::{Database, GenRelation, GenTuple};
 use cql_core::theory::{Theory, Var};
 use cql_trace::{
     count, hist, record_hist, span, Counter, MetricsScope, MetricsSnapshot, PlanStats, RoundStats,
 };
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Budget and knobs for fixpoint evaluation.
@@ -83,85 +88,75 @@ impl FixpointOptions {
     }
 }
 
+/// Which instance each body literal reads (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Strategy {
+    /// Every rule against the full instance, derived tuples staged until
+    /// the round ends.
+    Naive,
+    /// Delta-driven firing for positive programs.
+    SemiNaive,
+    /// [`Strategy::Naive`] with negated literals allowed, reading the
+    /// complement of the current stage.
+    Inflationary,
+}
+
 /// Result of a fixpoint computation.
 #[derive(Clone, Debug)]
 pub struct FixpointResult<T: Theory> {
     /// The IDB relations at the fixpoint.
     pub idb: Database<T>,
-    /// Number of rounds executed.
+    /// Number of rounds executed; [`fixpoint`] reports one
+    /// [`RoundStats`] per round.
     pub iterations: usize,
+    /// Per-round EXPLAIN telemetry. Each round runs under its own child
+    /// [`MetricsScope`] (entailment checks, QE calls and QE wall time
+    /// attribute to the round that spent them, then fold into the
+    /// enclosing query scope on drop) and a `"fixpoint.round"` span.
+    pub rounds: Vec<RoundStats>,
+    /// One row per planned rule: variable order and probe totals.
+    pub plans: Vec<PlanStats>,
 }
 
-/// Per-round telemetry collection for the `*_explain` entry points.
-///
-/// Each round runs under its own child [`MetricsScope`] (entailment
-/// checks, QE calls and QE wall time attribute to the round that spent
-/// them, then fold into the enclosing query scope on drop) and a
-/// `"fixpoint.round"` span carrying the round's delta size as an
-/// argument. Tuples produced / admitted / rejected are counted directly
-/// in the loop — the delta relations also run `insert`, so counter
-/// diffs would double-count them.
-struct RoundLog {
-    rounds: Vec<RoundStats>,
-    plans: Vec<PlanStats>,
-}
-
-impl RoundLog {
-    fn new() -> RoundLog {
-        RoundLog { rounds: Vec::new(), plans: Vec::new() }
-    }
-
-    fn begin(iterations: usize) -> (MetricsScope, Instant, cql_trace::SpanGuard) {
-        let scope = MetricsScope::enter("fixpoint.round");
-        let mut round_span = span("fixpoint.round", "round");
-        round_span.arg("round", iterations as u64 + 1);
-        (scope, Instant::now(), round_span)
-    }
-
-    fn finish(
-        &mut self,
-        round: usize,
-        produced: usize,
-        delta: usize,
-        scope: &MetricsScope,
-        wall_ns: u64,
-        round_span: &mut cql_trace::SpanGuard,
-    ) {
-        let snap = scope.snapshot();
-        round_span.arg("produced", produced as u64);
-        round_span.arg("delta", delta as u64);
-        self.rounds.push(RoundStats {
-            round: round as u64,
-            produced: produced as u64,
-            delta: delta as u64,
-            subsumed: (produced - delta) as u64,
-            entailment_checks: snap.get(Counter::EntailmentChecks),
-            qe_calls: snap.get(Counter::QeCalls),
-            qe_ns: qe_nanos(&snap),
-            prune_candidates: snap.get(Counter::PruneCandidates),
-            prune_survivors: snap.get(Counter::PruneSurvivors),
-            qe_cache_hits: snap.get(Counter::QeCacheHits),
-            multiway_probes: snap.get(Counter::MultiwayProbes),
-            multiway_survivors: snap.get(Counter::MultiwaySurvivors),
-            wall_ns,
-        });
-    }
-}
-
-/// Close out a fixpoint round's wall clock: the elapsed nanoseconds are
-/// recorded into the round-latency histogram (inside the round scope,
-/// which folds into the enclosing query scope on drop, so totals stay
-/// exact at any executor width) and returned for [`RoundStats`].
-fn record_round_wall(started: Instant) -> u64 {
-    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    record_hist(hist::FIXPOINT_ROUND_NS, wall_ns);
-    wall_ns
-}
+/// Below this many conjunctions, the per-variable QE and head-rename
+/// batches of rule firing run serially instead of being dispatched
+/// through the executor: single-digit batches pay more in dispatch
+/// bookkeeping than a worker could recover. Results are identical
+/// either way.
+const SERIAL_BATCH_THRESHOLD: usize = 16;
 
 /// Total inclusive wall time of the theory QE entry points (`"qe.*"`
 /// operator rows) in a snapshot.
 fn qe_nanos(snap: &MetricsSnapshot) -> u64 {
     snap.ops.iter().filter(|(name, _)| name.starts_with("qe.")).map(|(_, agg)| agg.nanos).sum()
+}
+
+/// One round's EXPLAIN row. Tuples produced and admitted are counted in
+/// the loop — the delta relations also run `insert`, so counter diffs
+/// would double-count them.
+fn round_stats(
+    round: usize,
+    produced: usize,
+    delta: usize,
+    scope: &MetricsScope,
+    wall_ns: u64,
+) -> RoundStats {
+    let snap = scope.snapshot();
+    RoundStats {
+        round: round as u64,
+        produced: produced as u64,
+        delta: delta as u64,
+        subsumed: (produced - delta) as u64,
+        entailment_checks: snap.get(Counter::EntailmentChecks),
+        qe_calls: snap.get(Counter::QeCalls),
+        qe_ns: qe_nanos(&snap),
+        prune_candidates: snap.get(Counter::PruneCandidates),
+        prune_survivors: snap.get(Counter::PruneSurvivors),
+        qe_cache_hits: snap.get(Counter::QeCacheHits),
+        multiway_probes: snap.get(Counter::MultiwayProbes),
+        multiway_survivors: snap.get(Counter::MultiwaySurvivors),
+        wall_ns,
+    }
 }
 
 fn init_idb<T: Theory>(program: &Program<T>, engine: &Engine<T>) -> Result<Database<T>> {
@@ -181,35 +176,15 @@ fn instance_relation<'a, T: Theory>(
     idb.get(name).map_or_else(|| edb.require(name), Ok)
 }
 
-/// Where a rule body reads its relations from: the EDB/IDB pair, plus
-/// the semi-naive delta binding (the body-literal index that must read
-/// from `delta` instead of the full instance).
-struct BodyCtx<'a, T: Theory> {
-    edb: &'a Database<T>,
-    idb: &'a Database<T>,
-    delta_at: Option<(usize, &'a Database<T>)>,
-}
-
-impl<'a, T: Theory> BodyCtx<'a, T> {
-    /// The relation a positive body literal at index `li` reads.
-    fn positive(&self, li: usize, a: &Atom) -> Result<&'a GenRelation<T>> {
-        match self.delta_at {
-            Some((idx, delta)) if idx == li => delta.require(&a.relation),
-            _ => instance_relation(&a.relation, self.edb, self.idb),
-        }
-    }
-}
-
-/// Run `f` over `items` — serially when the batch is below the policy's
-/// [`EnginePolicy::serial_batch_threshold`] (skipping executor dispatch,
-/// its spans, and its scope bookkeeping for tiny batches), on the
-/// engine's executor otherwise.
+/// Run `f` over `items` — serially below [`SERIAL_BATCH_THRESHOLD`]
+/// (skipping executor dispatch, its spans, and its scope bookkeeping),
+/// on the engine's executor otherwise.
 fn map_batch<T: Theory, I: Send, O: Send>(
     engine: &Engine<T>,
     items: Vec<I>,
     f: impl Fn(I) -> O + Sync,
 ) -> Vec<O> {
-    if items.len() < engine.policy.serial_batch_threshold {
+    if items.len() < SERIAL_BATCH_THRESHOLD {
         items.into_iter().map(f).collect()
     } else {
         engine.executor.map(items, f)
@@ -222,7 +197,7 @@ fn flat_map_batch<T: Theory, I: Send, O: Send>(
     items: Vec<I>,
     f: impl Fn(I) -> Vec<O> + Sync,
 ) -> Vec<O> {
-    if items.len() < engine.policy.serial_batch_threshold {
+    if items.len() < SERIAL_BATCH_THRESHOLD {
         items.into_iter().flat_map(f).collect()
     } else {
         engine.executor.flat_map(items, f)
@@ -241,32 +216,34 @@ fn dedup_ordered<T: Theory>(tuples: impl IntoIterator<Item = GenTuple<T>>) -> Ve
     out
 }
 
-/// Fire one rule against an instance; returns head tuples over `0..k`.
+/// Fire one rule of a batch fixpoint; returns head tuples over `0..k`.
 ///
-/// The body join runs multiway (variable-at-a-time, one solver call per
-/// surviving full combination) when the policy allows it and the body
-/// has at least two relational atoms; otherwise it is the binary
-/// left-to-right fold. Both paths share the quantifier-elimination and
-/// head-renaming stages below.
+/// `rels[li]` is the relation body literal `li` reads (the complement
+/// for a negated literal; `None` for constraint literals), and `lead` is
+/// the delta literal, if any. Under [`JoinMode::Multiway`] the body
+/// fires through [`fire_multiway`] and its surviving conjunctions are
+/// canonicalized and deduplicated; the other modes run the binary fold.
+/// Both share the quantifier-elimination and head-renaming tail.
 fn fire_rule<T: Theory>(
     engine: &Engine<T>,
     rule_idx: usize,
     rule: &Rule<T>,
-    ctx: &BodyCtx<'_, T>,
-    complements: &mut BTreeMap<String, GenRelation<T>>,
+    rels: &[Option<&GenRelation<T>>],
+    lead: Option<usize>,
     cache: &mut PlanCache<T>,
 ) -> Result<Vec<GenTuple<T>>> {
-    let rel_atoms = rule.body.iter().filter(|lit| !matches!(lit, Literal::Constraint(_))).count();
-    let acc = if engine.policy.multiway_join && rel_atoms >= 2 {
-        fire_body_multiway(engine, rule_idx, rule, ctx, complements, cache)?
-    } else {
-        fire_body_binary(engine, rule, ctx, complements, cache)?
+    let body = match engine.policy.join {
+        JoinMode::Multiway => {
+            let conjs = fire_multiway(engine, rule_idx, rule, rels, lead, cache);
+            let interned = map_batch(engine, conjs, |conj| engine.intern(conj));
+            dedup_ordered(interned.into_iter().flatten())
+        }
+        JoinMode::Binary | JoinMode::Exhaustive => fire_body_binary(engine, rule, rels, cache),
     };
-    if acc.is_empty() {
+    if body.is_empty() {
         return Ok(Vec::new());
     }
-    let conjs: Vec<Vec<T::Constraint>> =
-        acc.into_iter().map(|t| t.constraints().to_vec()).collect();
+    let conjs = body.into_iter().map(|t| t.constraints().to_vec()).collect();
     project_conjs(engine, rule, conjs)
 }
 
@@ -275,8 +252,8 @@ fn fire_rule<T: Theory>(
 /// preserving** — one output tuple per (input conjunction, QE disjunct)
 /// that canonicalizes satisfiable, with no deduplication. Batch callers
 /// ([`fire_rule`]) tolerate the duplicates (relation insert dedups);
-/// the counted firing of incremental maintenance *depends* on them (each
-/// output is one derivation).
+/// incremental maintenance *depends* on them (each output is one
+/// derivation).
 pub(crate) fn project_conjs<T: Theory>(
     engine: &Engine<T>,
     rule: &Rule<T>,
@@ -323,162 +300,94 @@ pub(crate) fn project_conjs<T: Theory>(
     Ok(out.into_iter().flatten().collect())
 }
 
-/// Fire one rule of a **positive** program with an explicit relation per
-/// body literal, preserving derivation multiplicity: the result holds one
-/// tuple per (satisfiable body combination, QE disjunct), with no
-/// deduplication anywhere on the path.
+/// The multiway body join: constraint literals seed a base conjunction,
+/// the rule's cached [`JoinPlan`](super::plan::JoinPlan) orders the
+/// relational atoms, and the leapfrog search of [`multiway_join`]
+/// enumerates the combinations every atom's summary admits. Returns one
+/// raw conjunction per surviving full combination, in plan order, with
+/// no deduplication — so derivation multiplicities are exact, which
+/// incremental maintenance counts on (the search only discards provably
+/// unsatisfiable combinations, which derive nothing either way).
 ///
-/// This is the firing primitive of incremental view maintenance
-/// ([`super::incremental`]): support counts are exactly the output
-/// multiplicities, so both the insertion and the over-deletion phases
-/// must enumerate derivations identically — which they get for free by
-/// sharing this function, differing only in which relations they bind to
-/// each literal. The body join always runs multiway (the summary search
-/// only discards provably unsatisfiable combinations, which contribute
-/// no output either way, so counts are unaffected by pruning).
-///
-/// `rels[li]` is the relation positive literal `li` reads; entries for
-/// constraint literals are ignored. `delta_at` is the body literal bound
-/// to the (small) delta relation, if any: the join searches from it, so
-/// a one-tuple update probes the full relations through their levels
-/// instead of scanning them. The output is the same either way.
+/// `rels[li]` is the relation body literal `li` reads: for a negated
+/// literal, the caller binds its complement; entries for constraint
+/// literals are ignored. `lead` is the body literal bound to the (small)
+/// delta relation, if any: the search starts from it, so a small delta
+/// probes the full relations through their levels instead of scanning
+/// them. The survivors are the same either way. Bodies with no
+/// relational atom yield the base conjunction alone.
 ///
 /// # Panics
-/// Debug-asserts the rule has no negated literals (callers validate the
-/// program as positive) and that every relational literal is bound.
-pub(crate) fn fire_rule_counted<T: Theory>(
+/// If a relational literal has no bound relation.
+pub(crate) fn fire_multiway<T: Theory>(
     engine: &Engine<T>,
     rule_idx: usize,
     rule: &Rule<T>,
     rels: &[Option<&GenRelation<T>>],
-    delta_at: Option<usize>,
+    lead: Option<usize>,
     cache: &mut PlanCache<T>,
-) -> Result<Vec<GenTuple<T>>> {
+) -> Vec<Vec<T::Constraint>> {
     let mut base = GenTuple::top();
     for lit in &rule.body {
-        debug_assert!(!matches!(lit, Literal::Neg(_)), "counted firing is for positive programs");
         if let Literal::Constraint(c) = lit {
             match engine.conjoin(&base, std::slice::from_ref(c)) {
                 Some(t) => base = t,
-                None => return Ok(Vec::new()),
+                None => return Vec::new(),
             }
         }
     }
     let plan = cache.plan(rule_idx, rule);
-    let mut atoms: Vec<std::sync::Arc<AtomData<T>>> = Vec::with_capacity(plan.atom_order.len());
+    let mut atoms: Vec<Arc<AtomData<T>>> = Vec::with_capacity(plan.atom_order.len());
     for &li in &plan.atom_order {
-        let Literal::Pos(a) = &rule.body[li] else {
+        let (Literal::Pos(a) | Literal::Neg(a)) = &rule.body[li] else {
             unreachable!("plans order relational literals only")
         };
         let rel = rels[li].expect("every relational literal needs a bound relation");
         let data = cache.atom_data(rel, &a.vars);
         if data.renamed.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         atoms.push(data);
     }
-    let lead = delta_at.and_then(|li| plan.atom_order.iter().position(|&lj| lj == li));
+    let lead = lead.and_then(|li| plan.atom_order.iter().position(|&lj| lj == li));
     let (conjs, probes, survivors) = multiway_join(&atoms, lead, &base, rule.var_count());
     count(Counter::MultiwayProbes, probes);
     count(Counter::MultiwaySurvivors, survivors);
     record_hist(hist::MULTIWAY_FANOUT, probes);
     cache.record(rule_idx, probes, survivors);
-    project_conjs(engine, rule, conjs)
+    conjs
 }
 
-/// Binary body join: fold the literals left to right, canonicalizing
-/// every intermediate conjunction. With
-/// [`EnginePolicy::join_pruning`] on, each atom's cached summary index
-/// restricts the product to candidates whose summaries may intersect
-/// the partial's — both live in the rule's variable space, so shared
-/// variables (the join variables of the rule body) prune directly.
+/// Binary body join (the [`JoinMode::Binary`] / [`JoinMode::Exhaustive`]
+/// ablation baseline): fold the literals left to right, canonicalizing
+/// every intermediate conjunction. Unless the mode is exhaustive, each
+/// atom's cached summary index restricts the product to candidates
+/// whose summaries may intersect the partial's — both live in the rule's
+/// variable space, so shared variables (the join variables of the rule
+/// body) prune directly.
 fn fire_body_binary<T: Theory>(
     engine: &Engine<T>,
     rule: &Rule<T>,
-    ctx: &BodyCtx<'_, T>,
-    complements: &mut BTreeMap<String, GenRelation<T>>,
+    rels: &[Option<&GenRelation<T>>],
     cache: &mut PlanCache<T>,
-) -> Result<Vec<GenTuple<T>>> {
+) -> Vec<GenTuple<T>> {
     let mut acc: Vec<GenTuple<T>> = vec![GenTuple::top()];
-    for (li, lit) in rule.body.iter().enumerate() {
-        match lit {
-            Literal::Constraint(c) => {
-                acc = acc
-                    .into_iter()
-                    .filter_map(|t| engine.conjoin(&t, std::slice::from_ref(c)))
-                    .collect();
+    for (lit, rel) in rule.body.iter().zip(rels) {
+        acc = match lit {
+            Literal::Constraint(c) => acc
+                .into_iter()
+                .filter_map(|t| engine.conjoin(&t, std::slice::from_ref(c)))
+                .collect(),
+            Literal::Pos(a) | Literal::Neg(a) => {
+                let rel = rel.expect("every relational literal needs a bound relation");
+                conjoin_atom(engine, acc, &cache.atom_data(rel, &a.vars))
             }
-            Literal::Pos(a) => {
-                let data = cache.atom_data(ctx.positive(li, a)?, &a.vars);
-                acc = conjoin_atom(engine, acc, &data);
-            }
-            Literal::Neg(a) => {
-                let compl = complements.entry(a.relation.clone()).or_insert_with(|| {
-                    instance_relation(&a.relation, ctx.edb, ctx.idb)
-                        .expect("validated")
-                        .complement()
-                });
-                let data = cache.atom_data(compl, &a.vars);
-                acc = conjoin_atom(engine, acc, &data);
-            }
-        }
-        if acc.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-    Ok(acc)
-}
-
-/// Multiway body join: constraint literals seed a base conjunction, the
-/// rule's cached [`JoinPlan`](super::plan::JoinPlan) orders the
-/// relational atoms, and the leapfrog search of
-/// [`multiway_join`] enumerates candidate combinations that every
-/// atom's summary admits — the solver canonicalizes one conjunction per
-/// surviving full combination instead of one per intermediate pair.
-fn fire_body_multiway<T: Theory>(
-    engine: &Engine<T>,
-    rule_idx: usize,
-    rule: &Rule<T>,
-    ctx: &BodyCtx<'_, T>,
-    complements: &mut BTreeMap<String, GenRelation<T>>,
-    cache: &mut PlanCache<T>,
-) -> Result<Vec<GenTuple<T>>> {
-    let mut base = GenTuple::top();
-    for lit in &rule.body {
-        if let Literal::Constraint(c) = lit {
-            match engine.conjoin(&base, std::slice::from_ref(c)) {
-                Some(t) => base = t,
-                None => return Ok(Vec::new()),
-            }
-        }
-    }
-    let plan = cache.plan(rule_idx, rule);
-    let mut atoms: Vec<std::sync::Arc<AtomData<T>>> = Vec::with_capacity(plan.atom_order.len());
-    for &li in &plan.atom_order {
-        let data = match &rule.body[li] {
-            Literal::Pos(a) => cache.atom_data(ctx.positive(li, a)?, &a.vars),
-            Literal::Neg(a) => {
-                let compl = complements.entry(a.relation.clone()).or_insert_with(|| {
-                    instance_relation(&a.relation, ctx.edb, ctx.idb)
-                        .expect("validated")
-                        .complement()
-                });
-                cache.atom_data(compl, &a.vars)
-            }
-            Literal::Constraint(_) => unreachable!("plans order relational literals only"),
         };
-        if data.renamed.is_empty() {
-            return Ok(Vec::new());
+        if acc.is_empty() {
+            break;
         }
-        atoms.push(data);
     }
-    let (conjs, probes, survivors) = multiway_join(&atoms, None, &base, rule.var_count());
-    count(Counter::MultiwayProbes, probes);
-    count(Counter::MultiwaySurvivors, survivors);
-    record_hist(hist::MULTIWAY_FANOUT, probes);
-    cache.record(rule_idx, probes, survivors);
-    let interned = map_batch(engine, conjs, |conj| engine.intern(conj));
-    Ok(dedup_ordered(interned.into_iter().flatten()))
+    acc
 }
 
 /// Conjoin every partial tuple with every renamed tuple of the atom: the
@@ -492,7 +401,7 @@ fn conjoin_atom<T: Theory>(
     acc: Vec<GenTuple<T>>,
     data: &AtomData<T>,
 ) -> Vec<GenTuple<T>> {
-    let index = data.index(engine.policy.join_pruning);
+    let index = data.index(engine.policy.join.filters());
     let products = flat_map_batch(engine, acc, |partial| match index {
         Some(index) => index
             .matches(&T::summary(partial.constraints()))
@@ -504,11 +413,9 @@ fn conjoin_atom<T: Theory>(
     dedup_ordered(products)
 }
 
-fn check_budget<T: Theory>(
-    idb: &Database<T>,
-    iterations: usize,
-    opts: &FixpointOptions,
-) -> Result<()> {
+/// The evaluation budget, shared by the batch fixpoints and incremental
+/// maintenance: `size` is the tuple count held after `iterations` rounds.
+pub(crate) fn check_budget(size: usize, iterations: usize, opts: &FixpointOptions) -> Result<()> {
     if iterations >= opts.max_iterations {
         return Err(CqlError::NotClosed {
             reason: "iteration budget exhausted (the query may have no closed form \
@@ -517,7 +424,7 @@ fn check_budget<T: Theory>(
             iterations,
         });
     }
-    if idb.size() > opts.max_tuples {
+    if size > opts.max_tuples {
         return Err(CqlError::NotClosed {
             reason: format!("IDB grew past {} tuples without converging", opts.max_tuples),
             iterations,
@@ -526,303 +433,152 @@ fn check_budget<T: Theory>(
     Ok(())
 }
 
+/// Evaluate `program` over `edb` bottom-up to its fixpoint under
+/// `strategy`, on a caller-owned engine (whose interner and QE cache
+/// are shared across calls, and whose policy the IDB relations carry).
+///
+/// # Errors
+/// Validation errors (negated literals need
+/// [`Strategy::Inflationary`]), theory `Unsupported` errors, or
+/// `NotClosed` when the budget is exhausted.
+pub fn fixpoint<T: Theory>(
+    engine: &Engine<T>,
+    program: &Program<T>,
+    edb: &Database<T>,
+    opts: &FixpointOptions,
+    strategy: Strategy,
+) -> Result<FixpointResult<T>> {
+    program.validate(edb, strategy == Strategy::Inflationary)?;
+    let semi = strategy == Strategy::SemiNaive;
+    let mut idb = init_idb(program, engine)?;
+    let mut cache = PlanCache::new(program.rules.len());
+    let mut rounds: Vec<RoundStats> = Vec::new();
+    // Semi-naive: the tuples new in the previous round. `None` before the
+    // first round, which fires every rule against the full instance.
+    let mut delta: Option<Database<T>> = None;
+    loop {
+        check_budget(idb.size(), rounds.len(), opts)?;
+        count(Counter::FixpointRounds, 1);
+        let scope = MetricsScope::enter("fixpoint.round");
+        let mut round_span = span("fixpoint.round", "round");
+        round_span.arg("round", rounds.len() as u64 + 1);
+        let started = Instant::now();
+        // Naive and inflationary rounds read the stage fixed at the start
+        // of the round, so derived tuples are staged; semi-naive inserts
+        // them as it goes, collecting the new ones as the next delta.
+        let mut staged: Vec<(&str, GenTuple<T>)> = Vec::new();
+        let mut next = if semi { Some(init_idb(program, engine)?) } else { None };
+        let mut complements: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
+        let mut produced = 0;
+        for (ri, rule) in program.rules.iter().enumerate() {
+            let leads: Vec<Option<usize>> = match &delta {
+                None => vec![None],
+                Some(delta) => rule
+                    .body
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, lit)| {
+                        matches!(lit, Literal::Pos(a)
+                            if delta.get(&a.relation).is_some_and(|d| !d.is_empty()))
+                    })
+                    .map(|(li, _)| Some(li))
+                    .collect(),
+            };
+            for lit in &rule.body {
+                if let Literal::Neg(a) = lit {
+                    if !complements.contains_key(&a.relation) {
+                        let stage = instance_relation(&a.relation, edb, &idb)?;
+                        complements.insert(a.relation.clone(), stage.complement());
+                    }
+                }
+            }
+            for lead in leads {
+                let mut rels = Vec::with_capacity(rule.body.len());
+                for (li, lit) in rule.body.iter().enumerate() {
+                    rels.push(match lit {
+                        Literal::Pos(a) => Some(match (&delta, lead) {
+                            (Some(delta), Some(l)) if l == li => delta.require(&a.relation)?,
+                            _ => instance_relation(&a.relation, edb, &idb)?,
+                        }),
+                        Literal::Neg(a) => Some(&complements[&a.relation]),
+                        Literal::Constraint(_) => None,
+                    });
+                }
+                let fired = fire_rule(engine, ri, rule, &rels, lead, &mut cache)?;
+                produced += fired.len();
+                let head = rule.head.relation.as_str();
+                match &mut next {
+                    Some(next) => {
+                        for t in fired {
+                            if idb.get_mut(head).expect("initialized").insert(t.clone()) {
+                                next.get_mut(head).expect("initialized").insert(t);
+                            }
+                        }
+                    }
+                    None => staged.extend(fired.into_iter().map(|t| (head, t))),
+                }
+            }
+        }
+        let added = match &next {
+            Some(next) => next.size(),
+            None => {
+                let mut added = 0;
+                for (name, t) in staged {
+                    if idb.get_mut(name).expect("initialized").insert(t) {
+                        added += 1;
+                    }
+                }
+                added
+            }
+        };
+        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // Recorded inside the round scope, which folds into the enclosing
+        // query scope on drop, so totals stay exact at any executor width.
+        record_hist(hist::FIXPOINT_ROUND_NS, wall_ns);
+        round_span.arg("produced", produced as u64);
+        round_span.arg("delta", added as u64);
+        rounds.push(round_stats(rounds.len() + 1, produced, added, &scope, wall_ns));
+        if added == 0 {
+            break;
+        }
+        delta = next;
+    }
+    Ok(FixpointResult { idb, iterations: rounds.len(), plans: cache.plan_stats(program), rounds })
+}
+
 /// Naive bottom-up evaluation of a positive Datalog + constraints program.
 ///
 /// # Errors
-/// Validation errors, theory `Unsupported` errors, or `NotClosed` when the
-/// budget is exhausted.
+/// As [`fixpoint`].
 pub fn naive<T: Theory>(
     program: &Program<T>,
     edb: &Database<T>,
     opts: &FixpointOptions,
 ) -> Result<FixpointResult<T>> {
-    naive_with(&opts.engine(), program, edb, opts)
+    fixpoint(&opts.engine(), program, edb, opts, Strategy::Naive)
 }
 
-/// [`naive`] with a caller-provided engine context.
+/// Semi-naive evaluation of a positive program.
 ///
 /// # Errors
-/// As [`naive`].
-pub fn naive_with<T: Theory>(
-    engine: &Engine<T>,
+/// As [`fixpoint`].
+pub fn seminaive<T: Theory>(
     program: &Program<T>,
     edb: &Database<T>,
     opts: &FixpointOptions,
 ) -> Result<FixpointResult<T>> {
-    program.validate(edb, false)?;
-    let idb = init_idb(program, engine)?;
-    fixpoint_with_seed(engine, program, edb, idb, opts)
+    fixpoint(&opts.engine(), program, edb, opts, Strategy::SemiNaive)
 }
 
 /// Inflationary Datalog¬ evaluation: negated IDB/EDB atoms are evaluated
 /// against the *current stage* and derived facts are only ever added.
 ///
 /// # Errors
-/// As [`naive`].
+/// As [`fixpoint`].
 pub fn inflationary<T: Theory>(
     program: &Program<T>,
     edb: &Database<T>,
     opts: &FixpointOptions,
 ) -> Result<FixpointResult<T>> {
-    let engine = opts.engine();
-    program.validate(edb, true)?;
-    let idb = init_idb(program, &engine)?;
-    fixpoint_with_seed(&engine, program, edb, idb, opts)
-}
-
-/// Run one stratum of a stratified program: the seed database holds the
-/// completed lower strata (read-only for negation, which is sound because
-/// stratification guarantees negated predicates never grow here).
-pub(crate) fn fixpoint_stratum<T: Theory>(
-    program: &Program<T>,
-    edb: &Database<T>,
-    seed: &Database<T>,
-    opts: &FixpointOptions,
-) -> Result<FixpointResult<T>> {
-    let engine = opts.engine();
-    let mut idb = seed.clone();
-    for name in program.idb_predicates() {
-        if idb.get(&name).is_none() {
-            let arities = program.arities()?;
-            idb.insert(name.clone(), engine.relation(arities[&name]));
-        }
-    }
-    fixpoint_with_seed(&engine, program, edb, idb, opts)
-}
-
-fn fixpoint_with_seed<T: Theory>(
-    engine: &Engine<T>,
-    program: &Program<T>,
-    edb: &Database<T>,
-    idb: Database<T>,
-    opts: &FixpointOptions,
-) -> Result<FixpointResult<T>> {
-    fixpoint_rounds(engine, program, edb, idb, opts, None)
-}
-
-fn fixpoint_rounds<T: Theory>(
-    engine: &Engine<T>,
-    program: &Program<T>,
-    edb: &Database<T>,
-    mut idb: Database<T>,
-    opts: &FixpointOptions,
-    mut log: Option<&mut RoundLog>,
-) -> Result<FixpointResult<T>> {
-    let mut cache = PlanCache::new(program.rules.len());
-    let mut iterations = 0;
-    loop {
-        check_budget(&idb, iterations, opts)?;
-        count(Counter::FixpointRounds, 1);
-        let (round_scope, round_start, mut round_span) = RoundLog::begin(iterations);
-        let mut changed = false;
-        // Inflationary semantics: all rules read the stage fixed at the
-        // start of the round; derived tuples land in `staged`.
-        let mut staged: Vec<(String, GenTuple<T>)> = Vec::new();
-        let mut complements = BTreeMap::new();
-        for (ri, rule) in program.rules.iter().enumerate() {
-            let ctx = BodyCtx { edb, idb: &idb, delta_at: None };
-            for t in fire_rule(engine, ri, rule, &ctx, &mut complements, &mut cache)? {
-                staged.push((rule.head.relation.clone(), t));
-            }
-        }
-        let produced = staged.len();
-        let mut delta = 0;
-        for (name, t) in staged {
-            if idb.get_mut(&name).expect("initialized").insert(t) {
-                changed = true;
-                delta += 1;
-            }
-        }
-        iterations += 1;
-        let wall_ns = record_round_wall(round_start);
-        if let Some(log) = log.as_deref_mut() {
-            log.finish(iterations, produced, delta, &round_scope, wall_ns, &mut round_span);
-        }
-        if !changed {
-            if let Some(log) = log.as_deref_mut() {
-                log.plans = cache.plan_stats(program);
-            }
-            return Ok(FixpointResult { idb, iterations });
-        }
-    }
-}
-
-/// [`naive`] with per-round EXPLAIN telemetry: returns the fixpoint, one
-/// [`RoundStats`] per round (see `RoundLog` for what each field
-/// attributes where), and one [`PlanStats`] per multiway-planned rule.
-///
-/// # Errors
-/// As [`naive`].
-pub fn naive_explain<T: Theory>(
-    program: &Program<T>,
-    edb: &Database<T>,
-    opts: &FixpointOptions,
-) -> Result<(FixpointResult<T>, Vec<RoundStats>, Vec<PlanStats>)> {
-    naive_explain_with(&opts.engine(), program, edb, opts)
-}
-
-/// [`naive_explain`] with a caller-provided engine context.
-///
-/// # Errors
-/// As [`naive`].
-pub fn naive_explain_with<T: Theory>(
-    engine: &Engine<T>,
-    program: &Program<T>,
-    edb: &Database<T>,
-    opts: &FixpointOptions,
-) -> Result<(FixpointResult<T>, Vec<RoundStats>, Vec<PlanStats>)> {
-    program.validate(edb, false)?;
-    let idb = init_idb(program, engine)?;
-    let mut log = RoundLog::new();
-    let result = fixpoint_rounds(engine, program, edb, idb, opts, Some(&mut log))?;
-    Ok((result, log.rounds, log.plans))
-}
-
-/// Semi-naive evaluation of a positive program: after the first round,
-/// a rule only re-fires with one IDB body atom bound to the tuples that
-/// were new in the previous round.
-///
-/// # Errors
-/// As [`naive`].
-pub fn seminaive<T: Theory>(
-    program: &Program<T>,
-    edb: &Database<T>,
-    opts: &FixpointOptions,
-) -> Result<FixpointResult<T>> {
-    seminaive_with(&opts.engine(), program, edb, opts)
-}
-
-/// [`seminaive`] with a caller-provided engine context.
-///
-/// # Errors
-/// As [`naive`].
-pub fn seminaive_with<T: Theory>(
-    engine: &Engine<T>,
-    program: &Program<T>,
-    edb: &Database<T>,
-    opts: &FixpointOptions,
-) -> Result<FixpointResult<T>> {
-    seminaive_rounds(engine, program, edb, opts, None)
-}
-
-/// [`seminaive`] with per-round EXPLAIN telemetry (see [`naive_explain`]
-/// for the shape of the returned statistics).
-///
-/// # Errors
-/// As [`naive`].
-pub fn seminaive_explain<T: Theory>(
-    program: &Program<T>,
-    edb: &Database<T>,
-    opts: &FixpointOptions,
-) -> Result<(FixpointResult<T>, Vec<RoundStats>, Vec<PlanStats>)> {
-    seminaive_explain_with(&opts.engine(), program, edb, opts)
-}
-
-/// [`seminaive_explain`] with a caller-provided engine context.
-///
-/// # Errors
-/// As [`naive`].
-pub fn seminaive_explain_with<T: Theory>(
-    engine: &Engine<T>,
-    program: &Program<T>,
-    edb: &Database<T>,
-    opts: &FixpointOptions,
-) -> Result<(FixpointResult<T>, Vec<RoundStats>, Vec<PlanStats>)> {
-    let mut log = RoundLog::new();
-    let result = seminaive_rounds(engine, program, edb, opts, Some(&mut log))?;
-    Ok((result, log.rounds, log.plans))
-}
-
-fn seminaive_rounds<T: Theory>(
-    engine: &Engine<T>,
-    program: &Program<T>,
-    edb: &Database<T>,
-    opts: &FixpointOptions,
-    mut log: Option<&mut RoundLog>,
-) -> Result<FixpointResult<T>> {
-    program.validate(edb, false)?;
-    let idb_preds = program.idb_predicates();
-    let arities = program.arities()?;
-    let mut idb = init_idb(program, engine)?;
-    let mut cache = PlanCache::new(program.rules.len());
-    let mut iterations = 0;
-
-    // Round 0: full firing (IDB relations are empty, so only rules whose
-    // IDB body atoms are absent produce anything).
-    count(Counter::FixpointRounds, 1);
-    let (round_scope, round_start, mut round_span) = RoundLog::begin(iterations);
-    let mut delta = init_idb(program, engine)?;
-    let mut complements = BTreeMap::new();
-    let mut produced = 0;
-    for (ri, rule) in program.rules.iter().enumerate() {
-        let fired = fire_rule(
-            engine,
-            ri,
-            rule,
-            &BodyCtx { edb, idb: &idb, delta_at: None },
-            &mut complements,
-            &mut cache,
-        )?;
-        for t in fired {
-            produced += 1;
-            if idb.get_mut(&rule.head.relation).expect("init").insert(t.clone()) {
-                delta.get_mut(&rule.head.relation).expect("init").insert(t);
-            }
-        }
-    }
-    iterations += 1;
-    let wall_ns = record_round_wall(round_start);
-    if let Some(log) = log.as_deref_mut() {
-        log.finish(iterations, produced, delta.size(), &round_scope, wall_ns, &mut round_span);
-    }
-    drop(round_span);
-    drop(round_scope);
-
-    while delta.size() > 0 {
-        check_budget(&idb, iterations, opts)?;
-        count(Counter::FixpointRounds, 1);
-        let (round_scope, round_start, mut round_span) = RoundLog::begin(iterations);
-        let mut next_delta: Database<T> = Database::new();
-        for name in &idb_preds {
-            next_delta.insert(name.clone(), engine.relation(arities[name]));
-        }
-        let mut complements = BTreeMap::new();
-        let mut produced = 0;
-        for (ri, rule) in program.rules.iter().enumerate() {
-            // One firing per IDB body-atom position bound to the delta.
-            for (li, lit) in rule.body.iter().enumerate() {
-                let Literal::Pos(a) = lit else { continue };
-                if !idb_preds.contains(&a.relation) {
-                    continue;
-                }
-                if delta.get(&a.relation).is_none_or(GenRelation::is_empty) {
-                    continue;
-                }
-                let fired = fire_rule(
-                    engine,
-                    ri,
-                    rule,
-                    &BodyCtx { edb, idb: &idb, delta_at: Some((li, &delta)) },
-                    &mut complements,
-                    &mut cache,
-                )?;
-                for t in fired {
-                    produced += 1;
-                    if idb.get_mut(&rule.head.relation).expect("init").insert(t.clone()) {
-                        next_delta.get_mut(&rule.head.relation).expect("init").insert(t);
-                    }
-                }
-            }
-        }
-        delta = next_delta;
-        iterations += 1;
-        let wall_ns = record_round_wall(round_start);
-        if let Some(log) = log.as_deref_mut() {
-            log.finish(iterations, produced, delta.size(), &round_scope, wall_ns, &mut round_span);
-        }
-    }
-    if let Some(log) = log {
-        log.plans = cache.plan_stats(program);
-    }
-    Ok(FixpointResult { idb, iterations })
+    fixpoint(&opts.engine(), program, edb, opts, Strategy::Inflationary)
 }

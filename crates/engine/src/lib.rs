@@ -8,8 +8,9 @@
 //!   relational calculus + constraints (closed-form via quantifier
 //!   elimination);
 //! * [`cells`] — the paper's `EVAL_φ` algorithm for cell theories;
-//! * [`datalog`] — naive / semi-naive / inflationary fixpoints, both
-//!   symbolic and over generalized Herbrand atoms (§3.2), plus a
+//! * [`datalog`] — one bottom-up fixpoint under a naive, semi-naive or
+//!   inflationary strategy, both symbolic and over generalized Herbrand
+//!   atoms (§3.2), plus a
 //!   [`MaterializedView`] that keeps a positive program's IDB
 //!   maintained under single-tuple inserts and retracts without
 //!   re-running the fixpoint.
@@ -21,13 +22,14 @@
 //!   tuples share one `Arc`'d representation;
 //! * [`Executor`] — one scoped-thread parallel map used by every
 //!   evaluator instead of per-module thread pools;
-//! * `cql_core`'s [`EnginePolicy`] — the subsumption/compression knob
-//!   every relation created during evaluation inherits.
+//! * `cql_core`'s [`EnginePolicy`] — the subsumption mode every relation
+//!   created during evaluation inherits, and the [`JoinMode`] that
+//!   decides how joins and rule bodies enumerate candidates.
 //!
 //! An [`Engine`] value bundles the three; evaluators take it by
-//! reference through their `*_with` entry points, while the plain entry
-//! points construct a serial default so existing call sites keep their
-//! signatures.
+//! reference (the algebra and calculus `*_with` entry points,
+//! [`datalog::fixpoint`]), while the plain entry points construct a
+//! serial default so existing call sites keep their signatures.
 //!
 //! ## Observability
 //!
@@ -38,8 +40,9 @@
 //! the engine with the `trace` cargo feature and run under a
 //! [`trace::TraceSession`] to additionally collect spans for every
 //! algebra operator, calculus node, fixpoint round, QE call, executor
-//! batch and interner epoch. The `datalog::*_explain` entry points
-//! return per-round [`trace::RoundStats`] for the EXPLAIN report.
+//! batch and interner epoch. Every [`datalog::fixpoint`] result carries
+//! per-round [`trace::RoundStats`] and per-rule [`trace::PlanStats`] for
+//! the EXPLAIN report.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -56,7 +59,7 @@ pub mod server;
 pub mod snapshot;
 pub mod summary_index;
 
-pub use cql_core::{EnginePolicy, SubsumptionMode};
+pub use cql_core::{EnginePolicy, JoinMode, SubsumptionMode};
 pub use cql_trace as trace;
 pub use datalog::incremental::MaterializedView;
 pub use executor::Executor;
@@ -165,7 +168,7 @@ impl<T: Theory> Engine<T> {
     }
 
     /// `∃ var. conj` through the engine's QE memo cache (a direct theory
-    /// call when [`EnginePolicy::qe_cache`] is off). All evaluator QE
+    /// call under [`JoinMode::Exhaustive`]). All evaluator QE
     /// goes through here, so fixpoint rounds that re-derive a
     /// conjunction skip the solver entirely on the repeat.
     ///
@@ -176,7 +179,7 @@ impl<T: Theory> Engine<T> {
         conj: &[T::Constraint],
         var: Var,
     ) -> Result<Vec<Vec<T::Constraint>>> {
-        if self.policy.qe_cache {
+        if self.policy.join.filters() {
             self.qe_cache.eliminate(conj, var)
         } else {
             T::eliminate(conj, var)

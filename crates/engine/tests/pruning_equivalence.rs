@@ -15,7 +15,8 @@
 //! `multiway == binary-pruned == exhaustive` for all four theories: the
 //! recursive 3-atom path-join exercises naive, semi-naive and
 //! inflationary fixpoints (dense/equality, with the cell-based Herbrand
-//! engine as an independent pointwise oracle), and non-recursive
+//! engine as an independent pointwise oracle), as do constraint-only,
+//! one-atom-plus-constraint and single-negated-atom bodies; non-recursive
 //! multi-atom joins cover the polynomial and boolean theories, whose
 //! recursive programs need not close.
 
@@ -24,7 +25,7 @@ use cql_bool::{BoolConstraint, BoolTerm};
 use cql_core::relation::{Database, GenRelation, GenTuple};
 use cql_core::summary::ConstraintSummary;
 use cql_core::theory::Theory;
-use cql_core::EnginePolicy;
+use cql_core::{EnginePolicy, JoinMode};
 use cql_dense::DenseConstraint;
 use cql_engine::datalog::{self, Atom, FixpointOptions, Literal, Program, Rule};
 use cql_engine::{algebra, Engine};
@@ -77,10 +78,8 @@ fn assert_pruning_invisible<T: Theory>(
 ) {
     let ra = GenRelation::<T>::from_conjunctions(arity, a.to_vec());
     let rb = GenRelation::<T>::from_conjunctions(arity, b.to_vec());
-    let on: Engine<T> =
-        Engine::new(cql_engine::Executor::serial(), EnginePolicy::default().with_filtering(true));
-    let off: Engine<T> =
-        Engine::new(cql_engine::Executor::serial(), EnginePolicy::default().with_filtering(false));
+    let on: Engine<T> = Engine::new(cql_engine::Executor::serial(), policy(JoinMode::Multiway));
+    let off: Engine<T> = Engine::new(cql_engine::Executor::serial(), policy(JoinMode::Exhaustive));
 
     let join_on = algebra::join_with(&on, &ra, &rb, &[(arity - 1, 0)]);
     let join_off = algebra::join_with(&off, &ra, &rb, &[(arity - 1, 0)]);
@@ -111,11 +110,12 @@ fn tc_program<T: Theory>() -> Program<T> {
     ])
 }
 
-fn fixpoint_opts(filtering: bool) -> FixpointOptions {
-    FixpointOptions {
-        policy: EnginePolicy::default().with_filtering(filtering),
-        ..Default::default()
-    }
+fn policy(join: JoinMode) -> EnginePolicy {
+    EnginePolicy { join, ..EnginePolicy::default() }
+}
+
+fn fixpoint_opts(join: JoinMode) -> FixpointOptions {
+    FixpointOptions { policy: policy(join), ..Default::default() }
 }
 
 /// Naive and semi-naive fixpoints over a random edge list must not see
@@ -123,8 +123,10 @@ fn fixpoint_opts(filtering: bool) -> FixpointOptions {
 fn assert_fixpoint_invisible<T: Theory>(edb: Database<T>) {
     let program = tc_program::<T>();
     for run in [datalog::naive::<T>, datalog::seminaive::<T>] {
-        let on = run(&program, &edb, &fixpoint_opts(true)).expect("fixpoint (filtering on)");
-        let off = run(&program, &edb, &fixpoint_opts(false)).expect("fixpoint (filtering off)");
+        let on = run(&program, &edb, &fixpoint_opts(JoinMode::Multiway))
+            .expect("fixpoint (filtering on)");
+        let off = run(&program, &edb, &fixpoint_opts(JoinMode::Exhaustive))
+            .expect("fixpoint (filtering off)");
         assert_eq!(
             tuple_set(on.idb.get("T").expect("T")),
             tuple_set(off.idb.get("T").expect("T")),
@@ -324,9 +326,9 @@ fn qe_cache_hits_and_is_transparent() {
     assert_eq!(snap.get(Counter::QeCacheHits), 1, "second elimination must hit the cache");
     assert_eq!(engine.qe_cache().len(), 1);
 
-    // With the knob off, the cache is bypassed entirely.
+    // In exhaustive mode, the cache is bypassed entirely.
     let off: Engine<cql_dense::Dense> =
-        Engine::new(cql_engine::Executor::serial(), EnginePolicy::default().with_filtering(false));
+        Engine::new(cql_engine::Executor::serial(), policy(JoinMode::Exhaustive));
     let scope = MetricsScope::enter("qe-cache-off");
     let direct = off.eliminate_cached(&conj, 1).expect("eliminate uncached");
     assert_eq!(direct, first);
@@ -352,45 +354,65 @@ fn path3_program<T: Theory>() -> Program<T> {
     ])
 }
 
-/// The three body-join configurations that must be indistinguishable:
-/// multiway (the default), binary-pruned (multiway off, pruning on — the
-/// pre-refactor path), and exhaustive enumeration (no filtering at all).
-fn join_configs() -> [(&'static str, EnginePolicy); 3] {
-    [
-        ("multiway", EnginePolicy::default()),
-        ("binary", EnginePolicy::default().with_multiway(false)),
-        ("exhaustive", EnginePolicy::default().with_filtering(false)),
-    ]
+/// Bodies that left the binary fold when every body began firing
+/// through the multiway join: a one-atom rule with a constraint literal
+/// and a constraint-only rule, both feeding a recursive rule.
+fn constraint_program<T: Theory>(filter: T::Constraint, seed: [T::Constraint; 2]) -> Program<T> {
+    Program::new(vec![
+        Rule::new(
+            Atom::new("T", vec![0, 1]),
+            vec![Literal::Pos(Atom::new("E", vec![0, 1])), Literal::Constraint(filter)],
+        ),
+        Rule::new(Atom::new("T", vec![0, 1]), seed.into_iter().map(Literal::Constraint).collect()),
+        Rule::new(
+            Atom::new("T", vec![0, 2]),
+            vec![
+                Literal::Pos(Atom::new("T", vec![0, 1])),
+                Literal::Pos(Atom::new("E", vec![1, 2])),
+            ],
+        ),
+    ])
 }
 
-/// Every symbolic fixpoint engine must produce the identical tuple set
-/// for `head` under all three join configurations.
-fn assert_multiway_invisible<T: Theory>(program: &Program<T>, edb: &Database<T>, head: &str) {
-    type Run<T> = fn(
-        &Program<T>,
-        &Database<T>,
-        &FixpointOptions,
-    ) -> cql_core::error::Result<datalog::FixpointResult<T>>;
-    let engines: [(&str, Run<T>); 3] = [
-        ("naive", datalog::naive::<T>),
-        ("seminaive", datalog::seminaive::<T>),
-        ("inflationary", datalog::inflationary::<T>),
-    ];
-    for (engine_name, run) in engines {
-        let results: Vec<(&str, HashSet<GenTuple<T>>)> = join_configs()
-            .into_iter()
-            .map(|(config, policy)| {
-                let opts = FixpointOptions { policy, ..Default::default() };
-                let r = run(program, edb, &opts)
-                    .unwrap_or_else(|e| panic!("{engine_name}/{config} failed: {e:?}"));
-                (config, tuple_set(r.idb.get(head).expect("head relation")))
-            })
-            .collect();
+/// A single negated-atom body: N(x,y) ← ¬E(x,y) (inflationary only).
+fn negation_program<T: Theory>() -> Program<T> {
+    Program::new(vec![Rule::new(
+        Atom::new("N", vec![0, 1]),
+        vec![Literal::Neg(Atom::new("E", vec![0, 1]))],
+    )])
+}
+
+const ALL_STRATEGIES: [datalog::Strategy; 3] =
+    [datalog::Strategy::Naive, datalog::Strategy::SemiNaive, datalog::Strategy::Inflationary];
+
+/// The three join modes must be indistinguishable: multiway (the
+/// default), binary-pruned (the left-to-right fold with summary pruning)
+/// and exhaustive enumeration (no filtering at all). Every listed
+/// strategy must produce the identical tuple set for `head` under each,
+/// and report one round of telemetry per iteration.
+fn assert_multiway_invisible<T: Theory>(
+    program: &Program<T>,
+    edb: &Database<T>,
+    head: &str,
+    strategies: &[datalog::Strategy],
+) {
+    for &strategy in strategies {
+        let results: Vec<(JoinMode, HashSet<GenTuple<T>>)> =
+            [JoinMode::Multiway, JoinMode::Binary, JoinMode::Exhaustive]
+                .into_iter()
+                .map(|join| {
+                    let opts = fixpoint_opts(join);
+                    let r = datalog::fixpoint(&opts.engine(), program, edb, &opts, strategy)
+                        .unwrap_or_else(|e| panic!("{strategy:?}/{join:?} failed: {e:?}"));
+                    assert_eq!(r.rounds.len(), r.iterations, "{strategy:?}/{join:?}");
+                    (join, tuple_set(r.idb.get(head).expect("head relation")))
+                })
+                .collect();
         let (reference_name, reference) = &results[0];
-        for (config, set) in &results[1..] {
+        for (join, set) in &results[1..] {
             assert_eq!(
                 reference, set,
-                "{engine_name}: {reference_name} and {config} joins diverged"
+                "{strategy:?}: {reference_name:?} and {join:?} joins diverged"
             );
         }
     }
@@ -405,6 +427,7 @@ proptest! {
             &path3_program::<cql_dense::Dense>(),
             &dense_edge_db(&edges),
             "T",
+            &ALL_STRATEGIES,
         );
     }
 
@@ -414,6 +437,54 @@ proptest! {
             &path3_program::<cql_equality::Equality>(),
             &eq_edge_db(&edges),
             "T",
+            &ALL_STRATEGIES,
+        );
+    }
+
+    #[test]
+    fn dense_constraint_bodies_match_binary_and_exhaustive(edges in edge_list()) {
+        use cql_dense::DenseConstraint as C;
+        assert_multiway_invisible(
+            &constraint_program::<cql_dense::Dense>(
+                C::lt(0, 1),
+                [C::eq_const(0, 2), C::gt_const(1, 4)],
+            ),
+            &dense_edge_db(&edges),
+            "T",
+            &ALL_STRATEGIES,
+        );
+    }
+
+    #[test]
+    fn equality_constraint_bodies_match_binary_and_exhaustive(edges in edge_list()) {
+        assert_multiway_invisible(
+            &constraint_program::<cql_equality::Equality>(
+                EqConstraint::ne(0, 1),
+                [EqConstraint::eq_const(0, 2), EqConstraint::ne_const(1, 4)],
+            ),
+            &eq_edge_db(&edges),
+            "T",
+            &ALL_STRATEGIES,
+        );
+    }
+
+    #[test]
+    fn dense_negated_body_matches_binary_and_exhaustive(edges in edge_list()) {
+        assert_multiway_invisible(
+            &negation_program::<cql_dense::Dense>(),
+            &dense_edge_db(&edges),
+            "N",
+            &[datalog::Strategy::Inflationary],
+        );
+    }
+
+    #[test]
+    fn equality_negated_body_matches_binary_and_exhaustive(edges in edge_list()) {
+        assert_multiway_invisible(
+            &negation_program::<cql_equality::Equality>(),
+            &eq_edge_db(&edges),
+            "N",
+            &[datalog::Strategy::Inflationary],
         );
     }
 
@@ -470,7 +541,7 @@ proptest! {
                 Literal::Pos(Atom::new("B", vec![2, 3, 4])),
             ],
         )]);
-        assert_multiway_invisible(&program, &edb, "H");
+        assert_multiway_invisible(&program, &edb, "H", &ALL_STRATEGIES);
     }
 
     /// Boolean summaries carry no interval ranges, so every trie level
@@ -492,6 +563,6 @@ proptest! {
                 Literal::Pos(Atom::new("B", vec![2, 3, 4])),
             ],
         )]);
-        assert_multiway_invisible(&program, &edb, "H");
+        assert_multiway_invisible(&program, &edb, "H", &ALL_STRATEGIES);
     }
 }
