@@ -4,7 +4,7 @@
 //! (the composition step of transitive closure) twice: once with
 //! `JoinMode::Exhaustive` — every pair of disjuncts is
 //! handed to the solver — and once with filtering on, where the engine's
-//! summary index buckets the right side by its join column and only
+//! summary level buckets the right side by its join column and only
 //! interval-compatible pairs reach the solver. The companion acceptance
 //! check (`repro e16`) reports the deterministic counter story
 //! (QE calls, entailment checks, pruned pairs, cache hits).

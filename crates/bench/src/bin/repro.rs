@@ -13,12 +13,13 @@
 //! `containment`, `engine`, `recorder`, `server`, …). Flags:
 //!
 //! * `--json` — emit one machine-readable JSON document instead of text;
-//! * `--trace` — collect spans for the whole run and write a chrome
-//!   `trace_event` file (loadable in Perfetto / `about://tracing`) to
-//!   `target/repro-trace.json`; spans are only populated when the binary
-//!   is built with `--features trace`;
+//! * `--trace` — switch the flight recorder to capture every span for
+//!   the whole run and write its dump as a chrome `trace_event` file
+//!   (loadable in Perfetto / `about://tracing`) to
+//!   `target/repro-trace.json`;
 //! * `--selfcheck` — after the run, re-parse everything emitted (JSON
-//!   document, E13 EXPLAIN report, chrome-trace file) and enforce the
+//!   document, E13 EXPLAIN report, chrome-trace file, which must be
+//!   complete: no recorder eviction during the run) and enforce the
 //!   E16/E17 A/B invariants (equal results, solver-work reduction
 //!   targets), exiting non-zero on any failure. Used by the CI smoke
 //!   job.
@@ -45,7 +46,7 @@ use cql_index::{Backend, GeneralizedIndex};
 use cql_trace::{
     chrome, expose, hist, histogram, json, recorder, span, watchdog, AnomalyStats, Counter,
     EvalReport, Histogram, Json, MetricsScope, RecorderConfig, SloRule, TelemetryRegistry,
-    TelemetrySnapshot, TraceSession,
+    TelemetrySnapshot,
 };
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -552,21 +553,22 @@ fn engine_threads(em: &mut Emitter) {
 
 /// E15 — telemetry overhead: the instrumented engine with telemetry
 /// dormant vs actively scoped. Returns the measured overhead percent;
-/// the selfcheck enforces the documented < 5% bound when the span
-/// feature is compiled out. Since the flight recorder is always
-/// compiled in, "dormant" now also covers recorder-off: every span
-/// site pays the recorder's one relaxed load, and this bound pins it.
+/// the selfcheck enforces the documented < 5% bound. "Dormant" covers
+/// recorder-off: every span site pays the recorder's one relaxed load,
+/// and this bound pins it.
 fn overhead(em: &mut Emitter) -> f64 {
     em.section("e15", "telemetry overhead: dormant instrumentation vs scoped run");
     em.note("semi-naive TC fixpoint (32-node chain), best of 7 per configuration;");
-    em.note("'dormant' = no MetricsScope, no TraceSession, flight recorder off");
-    em.note("(the default state — the recorder is compiled in unconditionally,");
-    em.note("so dormant sites still pay its one relaxed atomic load, and");
-    em.note("histogram recording is scope-only, so dormant sites skip it too);");
+    em.note("'dormant' = no MetricsScope, flight recorder off (the default");
+    em.note("state — dormant span sites still pay the recorder's one relaxed");
+    em.note("atomic load, and histogram recording is scope-only, so dormant");
+    em.note("sites skip it too);");
     em.note("'scoped' = the whole run under a per-query MetricsScope, including");
     em.note("the latency histograms.\n");
     // The recorder is runtime-global state: pin it off so the dormant
-    // bound measures exactly the compiled-in-but-off configuration.
+    // bound measures exactly the off configuration, and restore it after
+    // (`--trace` runs with it on).
+    let prior = recorder::config();
     recorder::set_config(RecorderConfig::Off);
     let db = chain_edb_dense(32);
     let program = tc_program_dense();
@@ -584,6 +586,7 @@ fn overhead(em: &mut Emitter) -> f64 {
         });
         scoped = scoped.min(d);
     }
+    recorder::set_config(prior);
     let pct = ((scoped.as_secs_f64() / dormant.as_secs_f64().max(1e-12) - 1.0) * 1e4).round() / 1e2;
     em.table(
         "rows",
@@ -593,13 +596,8 @@ fn overhead(em: &mut Emitter) -> f64 {
             vec![Json::from("scoped"), Json::from(ms_f(scoped))],
         ],
     );
-    em.note(&format!(
-        "\noverhead: {pct:+.2}% (target: < 5% with the trace feature off; \
-         span feature compiled {})",
-        if cfg!(feature = "trace") { "IN" } else { "OUT" }
-    ));
+    em.note(&format!("\noverhead: {pct:+.2}% (target: < 5%)"));
     em.datum("overhead_percent", pct);
-    em.datum("trace_feature_compiled", cfg!(feature = "trace"));
     em.datum("within_target", pct < 5.0);
     pct
 }
@@ -617,7 +615,7 @@ fn filtering(em: &mut Emitter) -> (bool, f64) {
     em.note("naive + semi-naive TC over the 48-node dense chain (2^10-scale:");
     em.note("1176 closure tuples). Policy A/B — 'off' hands every disjunct pair");
     em.note("to the solver and re-runs every QE; 'on' enumerates join pairs");
-    em.note("through the per-relation summary index and memoizes QE. The");
+    em.note("through per-relation summary levels and memoizes QE. The");
     em.note("reproduction target is the deterministic counter reduction; wall");
     em.note("time on this workload is dominated by canonicalization either way.\n");
 
@@ -1163,7 +1161,10 @@ fn recorder_flight(em: &mut Emitter) -> RecorderOutcome {
     let opts = FixpointOptions { threads: 1, ..Default::default() };
     let program = tc_program_dense();
     let db = chain_edb_dense(24);
-    recorder::set_ring_capacity(1 << 16);
+    // Recorder mode and ring capacity are process-global: restored on
+    // exit, so a `--trace` run keeps capturing the experiments after E20.
+    let (prior, prior_capacity) = (recorder::config(), recorder::ring_capacity());
+    recorder::set_ring_capacity(prior_capacity.max(1 << 16));
     let registry = TelemetryRegistry::new();
     registry.set_recorder(RecorderConfig::Always);
     let handle = registry.register("e20");
@@ -1266,7 +1267,8 @@ fn recorder_flight(em: &mut Emitter) -> RecorderOutcome {
         }
         drop(scope); // the at-drop watchdog check runs here
     }
-    registry.set_recorder(RecorderConfig::Off);
+    registry.set_recorder(prior);
+    recorder::set_ring_capacity(prior_capacity);
     registry.set_slo_rules(Vec::new());
     watchdog::set_dump_dir(None);
     let breaches = registry.take_breaches();
@@ -1871,6 +1873,10 @@ fn representation(em: &mut Emitter) {
 
 const TRACE_PATH: &str = "target/repro-trace.json";
 
+/// Per-thread recorder ring capacity under `--trace`. Rings grow on
+/// demand, so the bound costs memory only for the events actually held.
+const TRACE_RING_CAPACITY: usize = 1 << 20;
+
 const USAGE: &str = "usage: repro [--json] [--trace] [--selfcheck] [--compare] [ids...|all]
 ids: f1 t1 f2 f3 e4..e21 a1 a2 a3 (or legacy names: fig1 table1 fig2 fig3
 containment hull voronoi datalog equality boolean qbf index engine
@@ -1913,7 +1919,14 @@ fn main() {
     let all = ids.is_empty() || ids.iter().any(|a| a == "all");
     let want = |keys: &[&str]| all || ids.iter().any(|id| keys.contains(&id.as_str()));
 
-    let session = trace.then(TraceSession::begin);
+    // `--trace` captures every span site through the flight recorder, in
+    // rings sized so that the run's spans fit; evictions are reported as
+    // `trace_dropped`, which the selfcheck requires to be zero.
+    let trace_dropped_before = trace.then(|| {
+        recorder::set_ring_capacity(TRACE_RING_CAPACITY);
+        recorder::set_config(RecorderConfig::Always);
+        recorder::totals().1
+    });
     let mut em = Emitter::new(json);
     let mut e13_report = None;
     let mut e15_overhead = None;
@@ -1994,23 +2007,20 @@ fn main() {
         representation(&mut em);
     }
 
-    let mut trace_written = false;
-    if let Some(session) = session {
-        let collecting = session.is_collecting();
-        let records = session.end();
+    let mut trace_dropped = None;
+    if let Some(before) = trace_dropped_before {
+        recorder::set_config(RecorderConfig::Off);
+        let dropped = recorder::totals().1 - before;
+        let records = recorder::to_span_records(&recorder::take_root_events());
         let doc = chrome::render(&records);
         match std::fs::create_dir_all("target")
             .and_then(|()| std::fs::write(TRACE_PATH, doc.pretty()))
         {
             Ok(()) => {
-                trace_written = true;
+                trace_dropped = Some(dropped);
                 em.toplevel("trace_file", TRACE_PATH);
                 em.toplevel("trace_events", records.len() as u64);
-                if !collecting && !cfg!(feature = "trace") {
-                    em.note(
-                        "(spans empty: build with --features trace to populate the chrome trace)",
-                    );
-                }
+                em.toplevel("trace_dropped", dropped);
             }
             Err(e) => eprintln!("warning: could not write {TRACE_PATH}: {e}"),
         }
@@ -2037,7 +2047,7 @@ fn main() {
             e19_outcome.as_ref(),
             e20_outcome.as_ref(),
             e21_outcome.as_ref(),
-            trace_written,
+            trace_dropped,
         ) {
             Ok(summary) => eprintln!("selfcheck: ok ({summary})"),
             Err(e) => {
@@ -2103,20 +2113,21 @@ fn run_compare(doc: &Json) -> Result<String, String> {
 
 /// Re-parse everything this run emitted: the JSON document round-trips,
 /// the E13 EXPLAIN report deserializes with non-empty rounds, the E15
-/// dormant-telemetry overhead stays under its pinned 5% bound when the
-/// `trace` feature is off, the E16 filtering A/B preserved results and
-/// hit its ≥2x solver-work target, the E17 multiway A/B produced
-/// byte-identical results with ≥2x fewer solver-visible calls, the E18
-/// incremental A/B maintained the view byte-identically at ≥10x less
-/// per-update work (solver calls and wall time), the E19 telemetry
-/// snapshot satisfies the documented histogram/counter identities with
-/// monotone quantiles and valid, round-trippable expositions (and an
-/// injected 2x wall slowdown trips the regression gate), the E20 flight
+/// dormant-telemetry overhead stays under its pinned 5% bound, the E16
+/// filtering A/B preserved results and hit its ≥2x solver-work target,
+/// the E17 multiway A/B produced byte-identical results with ≥2x fewer
+/// solver-visible calls, the E18 incremental A/B maintained the view
+/// byte-identically at ≥10x less per-update work (solver calls and wall
+/// time), the E19 telemetry snapshot satisfies the documented
+/// histogram/counter identities with monotone quantiles and valid,
+/// round-trippable expositions (and an injected 2x wall slowdown trips
+/// the regression gate), the E20 flight
 /// recorder proved exemplar coverage, drop-free capture, and a tripped,
 /// parseable SLO dump, the E21 server run preserved snapshot isolation
 /// under concurrent commits and served identical results at ≥4x the
 /// clone-per-query throughput with no shed closed-loop request, and the
-/// chrome-trace file parses with strictly nested spans per thread.
+/// chrome-trace file is complete (`trace_dropped` is zero) and parses
+/// with strictly nested spans per thread.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn run_selfcheck(
     doc: &Json,
@@ -2128,7 +2139,7 @@ fn run_selfcheck(
     e19: Option<&TelemetryOutcome>,
     e20: Option<&RecorderOutcome>,
     e21: Option<&ServerOutcome>,
-    trace_written: bool,
+    trace_dropped: Option<u64>,
 ) -> Result<String, String> {
     let mut checks = Vec::new();
     let reparsed = json::parse(&doc.pretty()).map_err(|e| format!("document re-parse: {e}"))?;
@@ -2151,17 +2162,10 @@ fn run_selfcheck(
     }
 
     if let Some(pct) = e15 {
-        // The dormant bound is only meaningful when telemetry is
-        // actually dormant: with the `trace` feature compiled in, spans
-        // do real work and E15 reports it rather than bounding it.
-        if !cfg!(feature = "trace") {
-            if pct >= 5.0 {
-                return Err(format!(
-                    "E15: dormant telemetry overhead {pct:.2}% breaches the 5% bound"
-                ));
-            }
-            checks.push(format!("e15 overhead ({pct:.2}% < 5%)"));
+        if pct >= 5.0 {
+            return Err(format!("E15: dormant telemetry overhead {pct:.2}% breaches the 5% bound"));
         }
+        checks.push(format!("e15 overhead ({pct:.2}% < 5%)"));
     }
 
     if let Some((same_results, reduction)) = e16 {
@@ -2373,7 +2377,12 @@ fn run_selfcheck(
         ));
     }
 
-    if trace_written {
+    if let Some(dropped) = trace_dropped {
+        if dropped > 0 {
+            return Err(format!(
+                "chrome trace incomplete: the recorder evicted {dropped} event(s)"
+            ));
+        }
         let text =
             std::fs::read_to_string(TRACE_PATH).map_err(|e| format!("read {TRACE_PATH}: {e}"))?;
         let events = chrome::parse(&text).map_err(|e| format!("chrome trace: {e}"))?;

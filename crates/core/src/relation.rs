@@ -192,7 +192,7 @@ pub struct GenRelation<T: Theory> {
     /// Content version: drawn from a process-global counter, refreshed on
     /// every mutation, preserved by `clone`. Two relations with the same
     /// version provably hold the same tuples, so derived structures
-    /// (summary indexes, join-plan levels, snapshot epochs) can be cached
+    /// (join-plan atom data and levels, snapshot epochs) can be cached
     /// against it.
     version: u64,
     /// Edit-history identity: drawn once when the relation is created,

@@ -24,7 +24,8 @@
 
 use crate::theory::Var;
 use cql_arith::Rat;
-use std::collections::BTreeMap;
+use cql_trace::{count, Counter};
+use std::collections::{BTreeMap, HashMap};
 
 /// A cheap over-approximation of a canonical conjunction's solution set.
 ///
@@ -194,8 +195,9 @@ impl ConstraintSummary for BoxSummary {
 /// structure keeps the entries themselves and knows the dimension.
 ///
 /// Shared by the relation store (one level per column, maintained on
-/// every insert and eviction, to narrow subsumption candidates) and the
-/// engine's join indexes (built per operator over renamed tuples):
+/// every insert and eviction, to narrow subsumption candidates), the
+/// engine's algebra joins (built per operator, probed through [`prune`])
+/// and its rule-body joins (one level per atom variable):
 ///
 /// * pinned entries (`lo == hi`) land in a [`BTreeMap`] keyed by the
 ///   point, so a probe interval selects buckets by an `O(log n)` range
@@ -322,6 +324,42 @@ impl SummaryLevel {
     }
 }
 
+/// The bucket dimension ranged by the most summaries, smallest variable
+/// on ties (deterministic across runs and thread counts); `None` when no
+/// summary ranges anything.
+#[must_use]
+pub fn majority_dim<S: ConstraintSummary>(summaries: &[S]) -> Option<Var> {
+    let mut freq: HashMap<Var, usize> = HashMap::new();
+    for s in summaries {
+        for v in s.ranged_dims() {
+            *freq.entry(v).or_insert(0) += 1;
+        }
+    }
+    freq.into_iter().max_by_key(|&(v, n)| (n, std::cmp::Reverse(v))).map(|(v, _)| v)
+}
+
+/// Filter-before-solve candidates among the `len` entries of one join
+/// side: those whose bucket in `level` meets the closed probe `range`
+/// (every entry, in index order, when either is `None`) and that pass
+/// `keep` — typically [`ConstraintSummary::may_intersect`] against the
+/// probe's summary. Counts [`Counter::PruneCandidates`] (pairs an
+/// exhaustive enumeration would solve) and [`Counter::PruneSurvivors`]
+/// (pairs handed on to the solver). Sound whenever `keep` is: two
+/// entries whose closed hulls at one dimension are disjoint cannot share
+/// a solution.
+pub fn prune(
+    len: usize,
+    level: Option<&SummaryLevel>,
+    range: Option<(Rat, Rat)>,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    count(Counter::PruneCandidates, len as u64);
+    let candidates = level.map_or_else(|| (0..len).collect(), |level| level.candidates(range));
+    let survivors: Vec<usize> = candidates.into_iter().filter(|&i| keep(i)).collect();
+    count(Counter::PruneSurvivors, survivors.len() as u64);
+    survivors
+}
+
 /// The trivial summary: intersects everything, buckets nothing. Useful
 /// for theories (or theory modes) that opt out of pruning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -431,6 +469,63 @@ mod tests {
         assert_eq!(level.candidates(Some((r(4), r(4)))), vec![2, 1, 3]);
         level.push(Some((r(7), r(7))));
         assert_eq!(level.candidates(Some((r(7), r(7)))), vec![4, 1, 3]);
+    }
+
+    fn pinned(v: Var, k: i64) -> BoxSummary {
+        let mut b = BoxSummary::new();
+        b.pin(v, r(k));
+        b
+    }
+
+    /// Probe `entries`, bucketed at `dim`, with `probe`'s summary.
+    fn matches(entries: &[BoxSummary], dim: Option<Var>, probe: &BoxSummary) -> Vec<usize> {
+        let level = dim.map(|d| SummaryLevel::build(d, entries));
+        let range = dim.and_then(|d| probe.range(d));
+        prune(entries.len(), level.as_ref(), range, |i| probe.may_intersect(&entries[i]))
+    }
+
+    #[test]
+    fn point_buckets_prune_disjoint_pins() {
+        let entries: Vec<BoxSummary> = (0..10).map(|k| pinned(0, k)).collect();
+        assert_eq!(matches(&entries, Some(0), &pinned(0, 3)), vec![3]);
+        assert!(matches(&entries, Some(0), &pinned(0, 42)).is_empty());
+    }
+
+    #[test]
+    fn unranged_probe_sees_everything() {
+        let entries: Vec<BoxSummary> = (0..4).map(|k| pinned(0, k)).collect();
+        assert_eq!(matches(&entries, Some(0), &BoxSummary::new()).len(), 4);
+        let level = SummaryLevel::build(0, &entries);
+        assert_eq!(prune(4, Some(&level), None, |_| true), vec![0, 1, 2, 3]);
+        assert_eq!(majority_dim(&[BoxSummary::new()]), None);
+    }
+
+    #[test]
+    fn spans_and_rest_are_probed() {
+        let mut ranged = BoxSummary::new();
+        ranged.bound_below(0, r(2), false);
+        ranged.bound_above(0, r(5), false);
+        let entries = vec![ranged, BoxSummary::new(), pinned(0, 9)];
+        assert_eq!(majority_dim(&entries), Some(0));
+        // Probe [4,6]: meets the span and the unbounded entry, not the pin.
+        let mut probe = BoxSummary::new();
+        probe.bound_below(0, r(4), false);
+        probe.bound_above(0, r(6), false);
+        let mut got = matches(&entries, Some(0), &probe);
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1]);
+    }
+
+    #[test]
+    fn second_dimension_still_filters_candidates() {
+        // Both entries share the bucket at dim 0 but one conflicts at dim 1.
+        let mut a = pinned(0, 1);
+        a.pin(1, r(7));
+        let mut b = pinned(0, 1);
+        b.pin(1, r(8));
+        let mut probe = pinned(0, 1);
+        probe.pin(1, r(7));
+        assert_eq!(matches(&[a, b], Some(0), &probe), vec![0]);
     }
 
     #[test]

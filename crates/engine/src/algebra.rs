@@ -14,15 +14,15 @@
 //!
 //! Each `*_with` operator runs under [`cql_trace::op_timed`]
 //! (`"algebra.<op>"`): inclusive wall time aggregates into the current
-//! metrics scope's operator table and, in traced builds, emits a span.
+//! metrics scope's operator table and, while the flight recorder is on,
+//! is captured as a span.
 //! Timings are inclusive — `join` includes the `product` and `select` it
 //! is built from.
 
-use crate::summary_index::SummaryIndex;
 use crate::Engine;
 use cql_core::error::{CqlError, Result};
 use cql_core::relation::{GenRelation, GenTuple};
-use cql_core::summary::ConstraintSummary;
+use cql_core::summary::{majority_dim, prune, ConstraintSummary, SummaryLevel};
 use cql_core::theory::Theory;
 use cql_trace::{count, op_timed, Counter};
 
@@ -173,22 +173,29 @@ pub fn intersect_with<T: Theory>(
     assert_eq!(a.arity(), b.arity(), "intersect arity mismatch");
     op_timed("algebra.intersect", || {
         // Both sides share one column space, so summaries are directly
-        // comparable: index the right side, probe per left tuple.
-        let index = engine
-            .policy
-            .join
-            .filters()
-            .then(|| SummaryIndex::<T>::build(b.tuples().iter().map(|t| t.constraints())));
+        // comparable: bucket the right side at its majority dimension,
+        // probe per left tuple.
+        let filters = engine.policy.join.filters();
+        let summaries: Vec<T::Summary> = if filters {
+            b.tuples().iter().map(|t| T::summary(t.constraints())).collect()
+        } else {
+            Vec::new()
+        };
+        let dim = majority_dim(&summaries);
+        let level = dim.map(|d| SummaryLevel::build(d, &summaries));
         let tuples = engine.executor.flat_map(a.tuples().to_vec(), |ta| {
             let bs = b.tuples();
-            match &index {
-                Some(index) => index
-                    .matches(&T::summary(ta.constraints()))
-                    .into_iter()
-                    .filter_map(|i| engine.conjoin(&ta, bs[i].constraints()))
-                    .collect::<Vec<_>>(),
-                None => bs.iter().filter_map(|tb| engine.conjoin(&ta, tb.constraints())).collect(),
-            }
+            let candidates = if filters {
+                let probe = T::summary(ta.constraints());
+                let range = dim.and_then(|d| probe.range(d));
+                prune(bs.len(), level.as_ref(), range, |i| probe.may_intersect(&summaries[i]))
+            } else {
+                (0..bs.len()).collect()
+            };
+            candidates
+                .into_iter()
+                .filter_map(|i| engine.conjoin(&ta, bs[i].constraints()))
+                .collect::<Vec<_>>()
         });
         let mut out = engine.relation(a.arity());
         for t in tuples {
@@ -269,13 +276,12 @@ pub fn join_with<T: Theory>(
             .iter()
             .max_by_key(|(_, r)| summaries.iter().filter(|s| s.range(*r).is_some()).count())
             .expect("on is non-empty");
-        let index = SummaryIndex::<T>::with_summaries(summaries, Some(r0));
+        let level = SummaryLevel::build(r0, &summaries);
         let shifted: Vec<Vec<T::Constraint>> =
             b.tuples().iter().map(|tb| tb.rename(&|v| v + shift)).collect();
         let tuples = engine.executor.flat_map(a.tuples().to_vec(), |ta| {
             let probe = T::summary(ta.constraints()).range(l0);
-            index
-                .matches_range(probe)
+            prune(shifted.len(), Some(&level), probe, |_| true)
                 .into_iter()
                 .filter_map(|i| {
                     let mut constraints = ta.constraints().to_vec();

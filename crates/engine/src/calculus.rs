@@ -41,8 +41,7 @@ pub fn evaluate_with<T: Theory>(
     query: &CalculusQuery<T>,
     db: &Database<T>,
 ) -> Result<GenRelation<T>> {
-    let mut query_span = cql_trace::span("calculus.query", "query");
-    query_span.arg("free_vars", query.free.len() as u64);
+    let _query_span = cql_trace::span("calculus.query", "query");
     query.formula.validate(db)?;
     let scope = query
         .formula

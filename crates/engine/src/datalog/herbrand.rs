@@ -221,8 +221,7 @@ fn run_rounds<T: CellTheory>(
         }
         cql_trace::count(cql_trace::Counter::FixpointRounds, 1);
         let round_start = std::time::Instant::now();
-        let mut round_span = cql_trace::span("herbrand.round", "round");
-        round_span.arg("round", iterations as u64 + 1);
+        let _round_span = cql_trace::span("herbrand.round", "round");
         // Round-based T_P: every candidate fires against the frozen stage
         // (on the unified executor — one scoped thread per chunk; §3.3's
         // parallel-rounds observation).

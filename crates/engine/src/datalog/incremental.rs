@@ -196,8 +196,7 @@ impl<T: Theory> MaterializedView<T> {
         let scope = MetricsScope::enter("view.update");
         let started = Instant::now();
         {
-            let mut sp = span("view.insert", "engine");
-            sp.arg("relation", relation);
+            let _sp = span("view.insert", "engine");
             if !self.stores[relation].contains(&tuple) {
                 let mut delta = BTreeMap::new();
                 delta.insert(relation.to_string(), vec![tuple]);
@@ -223,8 +222,7 @@ impl<T: Theory> MaterializedView<T> {
         let scope = MetricsScope::enter("view.update");
         let started = Instant::now();
         {
-            let mut sp = span("view.retract", "engine");
-            sp.arg("relation", relation);
+            let _sp = span("view.retract", "engine");
             self.propagate_retraction(relation, tuple.clone())?;
         }
         Ok(self.finish_update("retract", relation, &scope, started))
@@ -380,8 +378,7 @@ impl<T: Theory> MaterializedView<T> {
             check_budget(stores.values().map(GenRelation::len).sum(), rounds, opts)?;
             rounds += 1;
             count(Counter::DeltaRounds, 1);
-            let mut round_span = span("view.delta_round", "round");
-            round_span.arg("delta", delta.values().map(Vec::len).sum::<usize>() as u64);
+            let _round_span = span("view.delta_round", "round");
             let mut old: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
             let mut drels: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
             for (name, tuples) in &delta {
@@ -467,8 +464,7 @@ impl<T: Theory> MaterializedView<T> {
                 check_budget(stores.values().map(GenRelation::len).sum(), rounds, opts)?;
                 rounds += 1;
                 count(Counter::DeltaRounds, 1);
-                let mut round_span = span("view.delta_round", "round");
-                round_span.arg("deleted", d.values().map(Vec::len).sum::<usize>() as u64);
+                let _round_span = span("view.delta_round", "round");
                 let mut old: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
                 let mut drels: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
                 for (name, tuples) in &d {

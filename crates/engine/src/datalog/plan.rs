@@ -39,13 +39,12 @@
 //! instead of being rebuilt.
 
 use crate::datalog::ast::{Literal, Program, Rule};
-use crate::summary_index::{majority_dim, SummaryIndex, SummaryLevel, SummaryTrie};
 use cql_arith::Rat;
 use cql_core::relation::{GenRelation, GenTuple};
-use cql_core::summary::ConstraintSummary;
+use cql_core::summary::{ConstraintSummary, SummaryLevel};
 use cql_core::theory::{Theory, Var};
 use cql_trace::{count, span, Counter, PlanStats};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 /// The cached, rule-structure-only part of a multiway join: the variable
@@ -70,7 +69,7 @@ impl JoinPlan {
     /// Plan one rule. Pure function of the rule's body shape.
     #[must_use]
     pub fn build<T: Theory>(rule: &Rule<T>) -> JoinPlan {
-        let mut sp = span("join_plan.build", "engine");
+        let _sp = span("join_plan.build", "engine");
         let n = rule.var_count();
         let mut freq = vec![0usize; n.max(1)];
         let mut rel_lits: Vec<usize> = Vec::new();
@@ -99,7 +98,6 @@ impl JoinPlan {
             let earliest = atom.vars.iter().map(|&v| position[v]).min().unwrap_or(usize::MAX);
             (earliest, li)
         });
-        sp.arg("var_order", var_order.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(","));
         JoinPlan { var_order, atom_order }
     }
 }
@@ -111,10 +109,56 @@ fn distinct_vars(vars: &[Var]) -> Vec<Var> {
     out
 }
 
+/// One [`SummaryLevel`] per variable of a join atom: the per-atom side of
+/// the multiway (leapfrog-style) rule-body join. A candidate binding's
+/// accumulated range at a variable probes the atom's level at that
+/// variable; an entry survives only if every probed level admits it.
+/// Each level is built on its first probe, so a variable the join never
+/// probes the atom at costs nothing.
+///
+/// Theories whose summaries range nothing (the boolean algebras) put
+/// every entry in each level's catch-all bucket, degenerating to plain
+/// `may_intersect` filtering — sound, just unselective.
+struct SummaryTrie {
+    levels: BTreeMap<Var, OnceLock<SummaryLevel>>,
+}
+
+impl SummaryTrie {
+    /// A trie with one (not yet built) level per distinct variable in
+    /// `vars`.
+    fn new(vars: &[Var]) -> SummaryTrie {
+        SummaryTrie { levels: vars.iter().map(|&v| (v, OnceLock::new())).collect() }
+    }
+
+    /// Carry the trie to an edited entry list: drop the entries at
+    /// `removed` (sorted, distinct), renumber the survivors, then append
+    /// one entry per `appended` summary. Every built level then equals a
+    /// fresh build over the edited list; unbuilt levels stay unbuilt.
+    fn edit<S: ConstraintSummary>(&mut self, removed: &[usize], appended: &[S]) {
+        for (&v, level) in &mut self.levels {
+            let Some(level) = level.get_mut() else { continue };
+            if !removed.is_empty() {
+                level.remove_indices(removed);
+            }
+            for s in appended {
+                level.push(s.range(v));
+            }
+        }
+    }
+
+    /// The level at `var` over `summaries` (the trie's entries, entry `i`
+    /// the `i`-th), built on first use; `None` when `var` is not one of
+    /// the trie's variables.
+    fn level<S: ConstraintSummary>(&self, var: Var, summaries: &[S]) -> Option<&SummaryLevel> {
+        let level = self.levels.get(&var)?;
+        Some(level.get_or_init(|| SummaryLevel::build(var, summaries.iter())))
+    }
+}
+
 /// One body atom's data for the join, renamed into the rule's variable
 /// space and summarized once per (relation version, variable map). The
-/// probing structures are built lazily so a cache entry serves both the
-/// multiway path (levels) and the binary fold (one-dimensional index).
+/// per-variable levels are built lazily, on first probe, by the multiway
+/// path and the binary fold alike.
 pub(crate) struct AtomData<T: Theory> {
     /// The source relation's tuples, in store order: what a later
     /// version of the same relation is diffed against
@@ -127,7 +171,6 @@ pub(crate) struct AtomData<T: Theory> {
     /// Distinct rule variables the atom binds.
     pub vars: Vec<Var>,
     trie: SummaryTrie,
-    index: OnceLock<Option<SummaryIndex<T>>>,
 }
 
 impl<T: Theory> AtomData<T> {
@@ -141,7 +184,6 @@ impl<T: Theory> AtomData<T> {
             summaries,
             vars: distinct_vars(atom_vars),
             trie: SummaryTrie::new(atom_vars),
-            index: OnceLock::new(),
         }
     }
 
@@ -183,33 +225,16 @@ impl<T: Theory> AtomData<T> {
             tail.iter().map(|u| u.rename(&|j| atom_vars[j])).collect();
         let summaries: Vec<T::Summary> = renamed.iter().map(|c| T::summary(c)).collect();
         self.trie.edit(&removed, &summaries);
-        // The one-dimensional index picks its dimension from all the
-        // summaries, so it is rebuilt on demand rather than edited.
-        self.index = OnceLock::new();
         self.source.extend_from_slice(tail);
         self.renamed.extend(renamed);
         self.summaries.extend(summaries);
         self
     }
 
-    /// The summary level at `var` (multiway path), built on first use.
-    fn level(&self, var: Var) -> Option<&SummaryLevel> {
+    /// The summary level at `var`, built on first use; `None` when the
+    /// atom does not bind `var`.
+    pub fn level(&self, var: Var) -> Option<&SummaryLevel> {
         self.trie.level(var, &self.summaries)
-    }
-
-    /// One-dimensional summary index (binary fold path); `None` when
-    /// the join mode does not filter.
-    pub fn index(&self, pruning: bool) -> Option<&SummaryIndex<T>> {
-        self.index
-            .get_or_init(|| {
-                pruning.then(|| {
-                    SummaryIndex::with_summaries(
-                        self.summaries.clone(),
-                        majority_dim(&self.summaries),
-                    )
-                })
-            })
-            .as_ref()
     }
 }
 
@@ -520,7 +545,7 @@ pub(crate) fn multiway_join<T: Theory>(
     base: &GenTuple<T>,
     var_count: usize,
 ) -> (Vec<Vec<T::Constraint>>, u64, u64) {
-    let mut sp = span("multiway.join", "engine");
+    let _sp = span("multiway.join", "engine");
     let base_summary = T::summary(base.constraints());
     let mut bounds: Vec<Option<(Rat, Rat)>> = vec![None; var_count.max(1)];
     if !tighten(&mut bounds, &base_summary) {
@@ -542,8 +567,6 @@ pub(crate) fn multiway_join<T: Theory>(
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     }
     let survivors = out.len() as u64;
-    sp.arg("probes", search.probes);
-    sp.arg("survivors", survivors);
     (out.into_iter().map(|(_, conj)| conj).collect(), search.probes, survivors)
 }
 

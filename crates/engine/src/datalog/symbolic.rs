@@ -48,6 +48,7 @@ use crate::Engine;
 use cql_core::error::{CqlError, Result};
 use cql_core::policy::{EnginePolicy, JoinMode};
 use cql_core::relation::{Database, GenRelation, GenTuple};
+use cql_core::summary::{majority_dim, prune, ConstraintSummary};
 use cql_core::theory::{Theory, Var};
 use cql_trace::{
     count, hist, record_hist, span, Counter, MetricsScope, MetricsSnapshot, PlanStats, RoundStats,
@@ -361,7 +362,7 @@ pub(crate) fn fire_multiway<T: Theory>(
 /// Binary body join (the [`JoinMode::Binary`] / [`JoinMode::Exhaustive`]
 /// ablation baseline): fold the literals left to right, canonicalizing
 /// every intermediate conjunction. Unless the mode is exhaustive, each
-/// atom's cached summary index restricts the product to candidates
+/// atom's cached summary level restricts the product to candidates
 /// whose summaries may intersect the partial's — both live in the rule's
 /// variable space, so shared variables (the join variables of the rule
 /// body) prune directly.
@@ -392,23 +393,31 @@ fn fire_body_binary<T: Theory>(
 
 /// Conjoin every partial tuple with every renamed tuple of the atom: the
 /// cartesian product step of the binary fold, parallelized over the
-/// partials. The atom's renamed tuples, summaries and one-dimensional
-/// summary index come from the run's [`PlanCache`], so unchanged
-/// relations are renamed and indexed once per run rather than once per
-/// round.
+/// partials. Unless the mode is exhaustive, the atom's summary level at
+/// its majority dimension plus `may_intersect` narrow each partial's
+/// candidates first. The atom's renamed tuples, summaries and levels
+/// come from the run's [`PlanCache`], so unchanged relations are renamed
+/// and bucketed once per run rather than once per round.
 fn conjoin_atom<T: Theory>(
     engine: &Engine<T>,
     acc: Vec<GenTuple<T>>,
     data: &AtomData<T>,
 ) -> Vec<GenTuple<T>> {
-    let index = data.index(engine.policy.join.filters());
-    let products = flat_map_batch(engine, acc, |partial| match index {
-        Some(index) => index
-            .matches(&T::summary(partial.constraints()))
+    let filters = engine.policy.join.filters();
+    let dim = if filters { majority_dim(&data.summaries) } else { None };
+    let level = dim.and_then(|d| data.level(d));
+    let products = flat_map_batch(engine, acc, |partial| {
+        let candidates = if filters {
+            let probe = T::summary(partial.constraints());
+            let range = dim.and_then(|d| probe.range(d));
+            prune(data.renamed.len(), level, range, |i| probe.may_intersect(&data.summaries[i]))
+        } else {
+            (0..data.renamed.len()).collect()
+        };
+        candidates
             .into_iter()
             .filter_map(|i| engine.conjoin(&partial, &data.renamed[i]))
-            .collect::<Vec<_>>(),
-        None => data.renamed.iter().filter_map(|r| engine.conjoin(&partial, r)).collect(),
+            .collect::<Vec<_>>()
     });
     dedup_ordered(products)
 }
@@ -460,8 +469,7 @@ pub fn fixpoint<T: Theory>(
         check_budget(idb.size(), rounds.len(), opts)?;
         count(Counter::FixpointRounds, 1);
         let scope = MetricsScope::enter("fixpoint.round");
-        let mut round_span = span("fixpoint.round", "round");
-        round_span.arg("round", rounds.len() as u64 + 1);
+        let _round_span = span("fixpoint.round", "round");
         let started = Instant::now();
         // Naive and inflationary rounds read the stage fixed at the start
         // of the round, so derived tuples are staged; semi-naive inserts
@@ -535,8 +543,6 @@ pub fn fixpoint<T: Theory>(
         // Recorded inside the round scope, which folds into the enclosing
         // query scope on drop, so totals stay exact at any executor width.
         record_hist(hist::FIXPOINT_ROUND_NS, wall_ns);
-        round_span.arg("produced", produced as u64);
-        round_span.arg("delta", added as u64);
         rounds.push(round_stats(rounds.len() + 1, produced, added, &scope, wall_ns));
         if added == 0 {
             break;

@@ -98,8 +98,7 @@ impl Executor {
         let f = &f;
         // Workers count into the scope of the thread that issued the batch.
         let metrics_scope = current_handle();
-        let mut batch_span = span("executor.batch", "engine");
-        batch_span.arg("workers", workers as u64);
+        let _batch_span = span("executor.batch", "engine");
         let mut results: Vec<Vec<O>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()

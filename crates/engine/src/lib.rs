@@ -36,11 +36,10 @@
 //! The whole stack is instrumented through [`trace`] (the `cql-trace`
 //! crate, re-exported here): open a [`trace::MetricsScope`] around an
 //! evaluation and its counters/operator timings are exact at any
-//! executor width (workers install the issuing thread's scope); build
-//! the engine with the `trace` cargo feature and run under a
-//! [`trace::TraceSession`] to additionally collect spans for every
-//! algebra operator, calculus node, fixpoint round, QE call, executor
-//! batch and interner epoch. Every [`datalog::fixpoint`] result carries
+//! executor width (workers install the issuing thread's scope); switch
+//! the flight recorder ([`trace::recorder`]) on at runtime to also
+//! capture spans for every algebra operator, calculus node, fixpoint
+//! round, QE call, executor batch and interner epoch. Every [`datalog::fixpoint`] result carries
 //! per-round [`trace::RoundStats`] and per-rule [`trace::PlanStats`] for
 //! the EXPLAIN report.
 
@@ -57,7 +56,6 @@ pub mod qe_cache;
 pub mod runtime;
 pub mod server;
 pub mod snapshot;
-pub mod summary_index;
 
 pub use cql_core::{EnginePolicy, JoinMode, SubsumptionMode};
 pub use cql_trace as trace;
@@ -68,7 +66,6 @@ pub use qe_cache::QeCache;
 pub use runtime::Runtime;
 pub use server::{Admission, QueryServer, ServerConfig};
 pub use snapshot::{Snapshot, SnapshotStore};
-pub use summary_index::SummaryIndex;
 
 use cql_core::error::Result;
 use cql_core::relation::{GenRelation, GenTuple};

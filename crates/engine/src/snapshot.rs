@@ -50,11 +50,21 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Pinned-reader accounting shared by a store and its snapshots:
-/// epoch → number of live pins.
+/// Pinned-reader accounting shared by a store and its snapshots, per
+/// pinned epoch.
 #[derive(Default)]
 struct PinTable {
-    pins: Mutex<BTreeMap<u64, usize>>,
+    pins: Mutex<BTreeMap<u64, EpochPins>>,
+}
+
+/// The live pins of one epoch.
+#[derive(Default)]
+struct EpochPins {
+    readers: usize,
+    /// The last commit count at which the epoch was current; `None`
+    /// while it still is. Epoch ids are relation versions, not a dense
+    /// sequence, so an epoch's age is measured in commits from here.
+    last_current: Option<u64>,
 }
 
 /// Decrements the pin count of one epoch on drop. Cloned snapshots
@@ -67,9 +77,9 @@ struct PinGuard {
 impl Drop for PinGuard {
     fn drop(&mut self) {
         let mut pins = self.table.pins.lock().expect("pin table poisoned");
-        if let Some(n) = pins.get_mut(&self.epoch) {
-            *n -= 1;
-            if *n == 0 {
+        if let Some(entry) = pins.get_mut(&self.epoch) {
+            entry.readers -= 1;
+            if entry.readers == 0 {
                 pins.remove(&self.epoch);
             }
         }
@@ -189,9 +199,12 @@ impl<T: Theory> SnapshotStore<T> {
     pub fn pin(&self) -> Snapshot<T> {
         let (epoch, db) = {
             let published = self.published.lock().expect("published snapshot poisoned");
+            // Counted while the epoch is still current, so a commit that
+            // supersedes it always finds the entry to stamp.
+            let mut pins = self.pins.pins.lock().expect("pin table poisoned");
+            pins.entry(published.epoch).or_default().readers += 1;
             (published.epoch, Arc::clone(&published.db))
         };
-        *self.pins.pins.lock().expect("pin table poisoned").entry(epoch).or_insert(0) += 1;
         Snapshot { epoch, db, _pin: Arc::new(PinGuard { epoch, table: Arc::clone(&self.pins) }) }
     }
 
@@ -252,23 +265,27 @@ impl<T: Theory> SnapshotStore<T> {
 
     /// Occupancy gauges, as `(name, value)` rows: the current epoch,
     /// commit count, number of distinct epochs still pinned by live
-    /// readers, total pinned readers, and one
-    /// `snapshot_pins_epoch_<id>` row per pinned epoch. Feed them to a
+    /// readers, total pinned readers, and
+    /// `snapshot_oldest_pinned_age_commits` — the commits published
+    /// since the oldest still-pinned epoch was current (0 when no epoch
+    /// older than the current one is pinned). Feed them to a
     /// [`crate::trace::TelemetryRegistry`] via `set_gauge` for
     /// Prometheus/JSON exposition.
     #[must_use]
     pub fn gauges(&self) -> Vec<(String, u64)> {
+        let (epoch, commits) = (self.epoch(), self.commits());
         let pins = self.pins.pins.lock().expect("pin table poisoned");
-        let mut rows = vec![
-            ("snapshot_epoch".to_string(), self.epoch()),
-            ("snapshot_commits".to_string(), self.commits()),
+        let oldest = pins.values().filter_map(|p| p.last_current).min();
+        vec![
+            ("snapshot_epoch".to_string(), epoch),
+            ("snapshot_commits".to_string(), commits),
             ("snapshot_live_epochs".to_string(), pins.len() as u64),
-            ("snapshot_pinned_readers".to_string(), pins.values().map(|&n| n as u64).sum()),
-        ];
-        for (epoch, &count) in pins.iter() {
-            rows.push((format!("snapshot_pins_epoch_{epoch}"), count as u64));
-        }
-        rows
+            ("snapshot_pinned_readers".to_string(), pins.values().map(|p| p.readers as u64).sum()),
+            (
+                "snapshot_oldest_pinned_age_commits".to_string(),
+                oldest.map_or(0, |at| commits.saturating_sub(at)),
+            ),
+        ]
     }
 
     /// Per-update EXPLAIN rows accumulated by the writer path.
@@ -280,8 +297,14 @@ impl<T: Theory> SnapshotStore<T> {
     /// Assemble and publish the writer's current state as a snapshot.
     fn publish(&self, writer: &mut Writer<T>) {
         let (epoch, db) = assemble(writer);
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        let before = self.commits.fetch_add(1, Ordering::Relaxed);
         let mut published = self.published.lock().expect("published snapshot poisoned");
+        if published.epoch != epoch {
+            let mut pins = self.pins.pins.lock().expect("pin table poisoned");
+            if let Some(superseded) = pins.get_mut(&published.epoch) {
+                superseded.last_current = Some(before);
+            }
+        }
         published.epoch = epoch;
         published.db = db;
     }
@@ -407,20 +430,31 @@ mod tests {
         let rows: BTreeMap<String, u64> = store.gauges().into_iter().collect();
         assert_eq!(rows["snapshot_live_epochs"], 2);
         assert_eq!(rows["snapshot_pinned_readers"], 3);
-        assert_eq!(rows[&format!("snapshot_pins_epoch_{}", a.epoch())], 2);
-        assert_eq!(rows[&format!("snapshot_pins_epoch_{}", c.epoch())], 1);
+        assert_eq!(rows["snapshot_oldest_pinned_age_commits"], 1);
+        // A no-op commit keeps the current epoch but still ages the
+        // superseded one; a second effective commit ages it again.
+        store.insert("E", edge(2, 3)).unwrap();
+        store.insert("E", edge(3, 4)).unwrap();
+        assert_ne!(store.epoch(), c.epoch());
+        let rows: BTreeMap<String, u64> = store.gauges().into_iter().collect();
+        assert_eq!(rows["snapshot_oldest_pinned_age_commits"], 3);
+        assert_eq!(rows.keys().filter(|k| k.starts_with("snapshot_")).count(), 5);
         drop(a);
         drop(b);
         let clone = c.clone();
         drop(c);
         let rows: BTreeMap<String, u64> = store.gauges().into_iter().collect();
         // Clones share one pin; the pinned epoch stays live until the
-        // last clone drops.
+        // last clone drops. `c`'s epoch was last current after the no-op
+        // commit 2, one commit ago.
         assert_eq!(rows["snapshot_live_epochs"], 1);
         assert_eq!(rows["snapshot_pinned_readers"], 1);
+        assert_eq!(rows["snapshot_oldest_pinned_age_commits"], 1);
         drop(clone);
+        let _current = store.pin();
         let rows: BTreeMap<String, u64> = store.gauges().into_iter().collect();
-        assert_eq!(rows["snapshot_live_epochs"], 0);
+        assert_eq!(rows["snapshot_live_epochs"], 1);
+        assert_eq!(rows["snapshot_oldest_pinned_age_commits"], 0);
     }
 
     #[test]

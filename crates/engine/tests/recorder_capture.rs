@@ -1,12 +1,14 @@
 //! Flight-recorder exactness and SLO-watchdog end-to-end checks.
 //!
-//! Companion to `histogram_merge.rs` for the always-compiled runtime
+//! Companion to `histogram_merge.rs` for the runtime flight
 //! recorder: span events captured into a [`MetricsScope`]'s per-thread
 //! rings ride the same merge-on-drop fold as the counters, so with
 //! sampling off (mode `Always`) the multiset of captured span names is
 //! identical at any executor width — except for the executor's own
 //! `executor.batch`/`executor.worker` spans, whose count is by
-//! construction a function of the width.
+//! construction a function of the width. The capture is also exact: one
+//! `fixpoint.round` span per reported round, one `qe.*` span per counted
+//! QE call, and spans that nest strictly per thread in the chrome dump.
 //!
 //! The second test drives the watchdog end to end: an armed
 //! `view_update_ns p99 < 1ms` rule plus one injected 2× slowdown sample
@@ -22,7 +24,7 @@ use cql_dense::{Dense, DenseConstraint};
 use cql_engine::datalog::{self, Atom, FixpointOptions, Literal, MaterializedView, Program, Rule};
 use cql_engine::trace::recorder::{self, RecorderConfig};
 use cql_engine::trace::watchdog::{self, SloRule};
-use cql_engine::trace::{chrome, hist, record_hist, MetricsScope};
+use cql_engine::trace::{chrome, hist, record_hist, Counter, MetricsScope};
 
 /// Recorder mode, rules and rings are process-global; serialize the
 /// tests that reconfigure them.
@@ -55,15 +57,28 @@ fn chain_db<T: Theory>(values: &[T::Value]) -> Database<T> {
 
 /// The multiset of `(name, cat)` pairs the recorder captured for one
 /// scoped fixpoint, with the width-dependent executor spans filtered
-/// out.
+/// out, after checking the capture against the run's own accounting.
 fn captured_multiset(threads: usize) -> BTreeMap<(String, String), usize> {
     let scope = MetricsScope::enter("capture");
     let opts = FixpointOptions { threads, ..Default::default() };
     let program = tc_program::<Dense>();
     let values: Vec<cql_arith::Rat> = (0..6).map(cql_arith::Rat::from).collect();
     let db = chain_db::<Dense>(&values);
-    datalog::seminaive(&program, &db, &opts).expect("fixpoint converges");
+    let result = datalog::seminaive(&program, &db, &opts).expect("fixpoint converges");
+    let qe_calls = scope.snapshot().get(Counter::QeCalls);
     let events = scope.handle().take_events();
+
+    let names: Vec<&str> = events.iter().map(|e| recorder::resolve_label(e.label)).collect();
+    let rounds = names.iter().filter(|&&n| n == "fixpoint.round").count();
+    assert_eq!(rounds, result.rounds.len(), "one round span per reported round at width {threads}");
+    let qe_spans = names.iter().filter(|n| n.starts_with("qe.")).count() as u64;
+    assert!(qe_calls > 0, "no QE calls counted — the check is vacuous");
+    assert_eq!(qe_spans, qe_calls, "one qe.* span per counted QE call at width {threads}");
+    let dump = chrome::render(&recorder::to_span_records(&events)).render();
+    let parsed = chrome::parse(&dump).expect("capture renders as a chrome trace");
+    assert_eq!(parsed.len(), events.len());
+    assert_eq!(chrome::nesting_violation(&parsed), None, "spans nest strictly at width {threads}");
+
     let mut multiset = BTreeMap::new();
     for event in &events {
         let name = recorder::resolve_label(event.label).to_string();

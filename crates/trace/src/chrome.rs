@@ -1,6 +1,7 @@
 //! `trace_event` (chrome-trace) exporter.
 //!
-//! Renders the spans of a [`crate::TraceSession`] into the JSON array
+//! Renders span records (a recorder dump expanded by
+//! [`crate::recorder::to_span_records`]) into the JSON array
 //! format consumed by `about://tracing` and <https://ui.perfetto.dev>:
 //! complete events (`"ph": "X"`) with microsecond timestamps, one track
 //! per engine thread. Timestamps keep sub-microsecond precision as

@@ -11,17 +11,15 @@
 //!   exact under any executor width (the engine's executor installs the
 //!   scope on every worker). Replaces the racy process-global atomics
 //!   the core crate's old `metrics` module used to be.
-//! * [`span()`]/[`SpanGuard`]/[`TraceSession`] — span-based tracing of
-//!   calculus disjuncts, algebra operators, fixpoint rounds, QE calls,
-//!   executor batches and interner epochs. The *full* (unsampled,
-//!   unbounded) session tracer is behind the `trace` cargo feature and
-//!   compiles away when disabled.
-//! * [`recorder`] — the always-on flight recorder: the same span sites
-//!   captured into per-thread fixed-capacity rings of compact events,
-//!   **compiled in unconditionally** and switched at runtime by a
-//!   [`RecorderConfig`] (off / sampled 1-in-N / always; off costs one
-//!   relaxed atomic load per site). Rings ride the scope merge-on-drop
-//!   fold, so capture is exact-attribution at any executor width.
+//! * [`span()`]/[`SpanGuard`] — span sites around calculus disjuncts,
+//!   algebra operators, fixpoint rounds, QE calls, executor batches and
+//!   interner epochs, all captured by the flight recorder below.
+//! * [`recorder`] — the flight recorder: span sites captured into
+//!   per-thread fixed-capacity rings of compact events, switched at
+//!   runtime by a [`RecorderConfig`] (off / sampled 1-in-N / always; off
+//!   costs one relaxed atomic load per site). Rings ride the scope
+//!   merge-on-drop fold, so capture is exact-attribution at any executor
+//!   width. No build feature is involved.
 //! * [`exemplar`] — histogram exemplars: each log-bucket retains the
 //!   most recent `(span id, scope, value)` triple, exposed through the
 //!   Prometheus (`# {…}` OpenMetrics syntax) and JSON expositions, so a
@@ -78,5 +76,5 @@ pub use scope::{
     count, current_handle, hist, op_timed, qe_timed, record_hist, root_reset, root_snapshot,
     Counter, MetricsScope, MetricsSnapshot, OpAgg, ScopeHandle, COUNTERS,
 };
-pub use span::{span, SpanGuard, SpanRecord, TraceSession};
+pub use span::{span, SpanGuard, SpanRecord};
 pub use watchdog::{SloBreach, SloRule};

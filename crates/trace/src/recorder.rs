@@ -1,13 +1,12 @@
-//! The always-on flight recorder: runtime-switchable span capture.
+//! The flight recorder: runtime-switchable span capture.
 //!
-//! Span tracing behind the `trace` cargo feature ([`mod@crate::span`]) is
-//! unbounded and exact, but requires a recompile — useless for the
-//! production incident that already happened. The flight recorder is the
-//! complementary shape: **compiled in unconditionally**, switched at
-//! runtime by a [`RecorderConfig`] (off / sampled 1-in-N / always), and
-//! bounded by per-thread fixed-capacity rings that keep the *most
-//! recent* events, so a long-lived engine always holds the last few
-//! thousand spans per scope for post-mortem dumps.
+//! Every span site ([`mod@crate::span`], [`crate::op_timed`],
+//! [`crate::qe_timed`]) feeds the recorder. It is switched at runtime by a
+//! [`RecorderConfig`] (off / sampled 1-in-N / always) and bounded by
+//! per-thread fixed-capacity rings that keep the *most recent* events,
+//! so a long-lived engine always holds the last few thousand spans per
+//! scope for post-mortem dumps. Under `Always` with rings sized for the
+//! run, it captures every span, which is what `repro --trace` dumps.
 //!
 //! Layout, tuned for capture cost:
 //!

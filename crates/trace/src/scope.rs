@@ -20,11 +20,10 @@
 //!
 //! Counting sites call [`count`] (a thread-local lookup plus one relaxed
 //! `fetch_add`) and [`op_timed`] (which skips the clock entirely when no
-//! scope is installed and no trace session is active).
+//! scope is installed and the flight recorder is off).
 
 use crate::histogram::Histogram;
 use crate::recorder::{self, EventBuffer, RingStats, SpanEvent};
-use crate::span;
 use crate::watchdog;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -94,8 +93,10 @@ pub enum Counter {
     /// Rule firings that reused a cached `JoinPlan` (variable order +
     /// atom order) instead of re-planning.
     PlanCacheHits,
-    /// Summary-index / summary-level builds avoided because the source
-    /// relation's content version was unchanged since the cached build.
+    /// Join-plan atom-data cache reuses: a rule-body atom's renamed
+    /// tuples, summaries and levels (`AtomData`) served from the plan
+    /// cache because the source relation's content version was
+    /// unchanged since the cached build.
     SummaryIndexReuses,
     /// Delta-restricted rule-firing rounds run by incremental view
     /// maintenance (insert or retract propagation).
@@ -573,13 +574,12 @@ pub fn record_hist(name: &'static str, value: u64) {
 }
 
 /// Time `f` under an operator label: its inclusive wall time aggregates
-/// into the innermost scope's operator table, the flight recorder
-/// captures the interval when it is on, and (with the `trace` feature
-/// and an active session) emits a span. When no scope, session, or
+/// into the innermost scope's operator table, and the flight recorder
+/// captures the interval when it is on. When neither a scope nor the
 /// recorder is active, `f` runs untimed — no clock reads at all.
 pub fn op_timed<R>(op: &'static str, f: impl FnOnce() -> R) -> R {
     let scope = current_handle();
-    if scope.is_none() && !span::session_active() && !recorder::enabled() {
+    if scope.is_none() && !recorder::enabled() {
         return f();
     }
     let start = Instant::now();
@@ -591,20 +591,19 @@ pub fn op_timed<R>(op: &'static str, f: impl FnOnce() -> R) -> R {
     if let Some((_, event)) = recorder::complete(op, "op", start, elapsed) {
         sink_event(event);
     }
-    span::record_complete(op, "op", start, elapsed, Vec::new());
     result
 }
 
 /// [`op_timed`] that also bumps [`Counter::QeCalls`] and records the
 /// call's latency into the [`hist::QE_CALL_NS`] histogram — the hook the
 /// four theory crates wrap their `Theory::eliminate` implementations
-/// with. Like [`op_timed`], the clock is skipped entirely when no scope,
-/// trace session, or recorder is active. When the recorder captures the
+/// with. Like [`op_timed`], the clock is skipped entirely when neither a
+/// scope nor the recorder is active. When the recorder captures the
 /// call, the histogram sample cites the captured span as its exemplar.
 pub fn qe_timed<R>(op: &'static str, f: impl FnOnce() -> R) -> R {
     count(Counter::QeCalls, 1);
     let scope = current_handle();
-    if scope.is_none() && !span::session_active() && !recorder::enabled() {
+    if scope.is_none() && !recorder::enabled() {
         return f();
     }
     let start = Instant::now();
@@ -623,7 +622,6 @@ pub fn qe_timed<R>(op: &'static str, f: impl FnOnce() -> R) -> R {
             span_id,
         );
     }
-    span::record_complete(op, "op", start, elapsed, Vec::new());
     result
 }
 

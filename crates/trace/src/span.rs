@@ -1,35 +1,23 @@
-//! Span-based tracing: the *full* tracer behind the `trace` feature.
+//! Span sites: RAII spans and instant events captured by the flight
+//! recorder ([`crate::recorder`]).
 //!
-//! The `trace` cargo feature gates only the unsampled, unbounded
-//! session tracer below. The same span sites also feed the always-compiled
-//! runtime flight recorder ([`crate::recorder`]) when it is switched on —
-//! see that module for the bounded, sampled capture path.
-//!
-//! With the `trace` cargo feature **off** (the default), the session
-//! tracer compiles away entirely and a span site costs one relaxed
-//! atomic load (the recorder's off check).
-//!
-//! With the feature **on**, spans are still only recorded while a
-//! [`TraceSession`] is active (a global flag), so a traced build pays
-//! one atomic load per span site outside sessions. During a session,
-//! every span becomes a [`SpanRecord`] — name, category, thread, start
-//! offset and duration from the session epoch, plus key/value arguments
-//! — which [`crate::chrome::render`] turns into a `trace_event` JSON
-//! file loadable in `about://tracing` / Perfetto.
+//! A span site costs one relaxed atomic load while the recorder is off
+//! (the default). When it is on, the span becomes a compact
+//! [`crate::SpanEvent`] in the innermost scope's rings;
+//! [`crate::recorder::to_span_records`] expands captured events into
+//! [`SpanRecord`]s, which [`crate::chrome::render`] turns into a
+//! `trace_event` JSON file loadable in `about://tracing` / Perfetto.
 //!
 //! Span taxonomy used by the engine (see DESIGN.md "Observability"):
 //! `query` (one per evaluation entry), `round` (one per fixpoint round),
 //! `op` (algebra operators, calculus nodes, QE calls), `engine`
-//! (executor batches, interner and QE-cache epochs, summary-index
-//! builds — `summary_index.build` spans carry `pruned`/`survivors`
-//! args, and `qe_cache.epoch` instants mark cache clears; multiway rule
-//! joins add `join_plan.build` spans carrying the chosen `var_order`
-//! and `multiway.join` spans carrying `probes`/`survivors` args).
+//! (executor batches, interner and QE-cache epochs, join planning and
+//! multiway rule joins; `qe_cache.epoch` instants mark cache clears).
 
 use crate::json::Json;
-use std::time::{Duration, Instant};
 
-/// One recorded span (or instant event, when `dur_ns` is `None`).
+/// One span (or instant event, when `dur_ns` is `None`) in the shape the
+/// chrome exporter renders.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Span name (e.g. `"fixpoint.round"`, `"qe.dense"`).
@@ -38,7 +26,7 @@ pub struct SpanRecord {
     pub cat: &'static str,
     /// Trace-local thread id (dense small integers, not OS tids).
     pub tid: u64,
-    /// Start, nanoseconds since the session epoch.
+    /// Start, nanoseconds since the recorder epoch.
     pub ts_ns: u64,
     /// Duration in nanoseconds; `None` marks an instant event.
     pub dur_ns: Option<u64>,
@@ -46,82 +34,8 @@ pub struct SpanRecord {
     pub args: Vec<(&'static str, Json)>,
 }
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::SpanRecord;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
-
-    pub(super) static ACTIVE: AtomicBool = AtomicBool::new(false);
-    pub(super) static EVENTS: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        pub(super) static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(super) fn epoch() -> Instant {
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    pub(super) fn ns_since_epoch(at: Instant) -> u64 {
-        u64::try_from(at.saturating_duration_since(epoch()).as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// Is a trace session currently collecting spans? Always `false` without
-/// the `trace` feature.
-#[inline]
-#[must_use]
-pub fn session_active() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        imp::ACTIVE.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        false
-    }
-}
-
-/// Record a completed interval directly (used by [`crate::op_timed`],
-/// which already measured the duration for the metrics side; that caller
-/// feeds the flight recorder itself, so this function is feature-gated
-/// session capture only).
-#[inline]
-pub fn record_complete(
-    name: &'static str,
-    cat: &'static str,
-    start: Instant,
-    dur: Duration,
-    args: Vec<(&'static str, Json)>,
-) {
-    #[cfg(feature = "trace")]
-    {
-        if !session_active() {
-            return;
-        }
-        let record = SpanRecord {
-            name,
-            cat,
-            tid: imp::TID.with(|t| *t),
-            ts_ns: imp::ns_since_epoch(start),
-            dur_ns: Some(u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX)),
-            args,
-        };
-        imp::EVENTS.lock().expect("trace events poisoned").push(record);
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (name, cat, start, dur, args);
-    }
-}
-
-/// Record an instant event (e.g. an interner epoch flush). Captured by
-/// the flight recorder when it is on, and by the `trace`-feature session
-/// when one is active.
+/// Record an instant event (e.g. an interner epoch flush), captured by
+/// the flight recorder when it is on.
 #[inline]
 pub fn instant(name: &'static str, cat: &'static str) {
     if crate::recorder::enabled() {
@@ -129,88 +43,24 @@ pub fn instant(name: &'static str, cat: &'static str) {
             crate::scope::sink_event(event);
         }
     }
-    #[cfg(feature = "trace")]
-    {
-        if !session_active() {
-            return;
-        }
-        let record = SpanRecord {
-            name,
-            cat,
-            tid: imp::TID.with(|t| *t),
-            ts_ns: imp::ns_since_epoch(std::time::Instant::now()),
-            dur_ns: None,
-            args: Vec::new(),
-        };
-        imp::EVENTS.lock().expect("trace events poisoned").push(record);
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (name, cat);
-    }
 }
 
 /// RAII span: measures from construction to drop. Inert (one relaxed
-/// atomic load at open) when both the flight recorder and the
-/// `trace`-feature session are off.
+/// atomic load at open) when the flight recorder is off.
 pub struct SpanGuard {
-    #[cfg(feature = "trace")]
-    open: Option<OpenSpan>,
-    /// Flight-recorder capture of the same interval — always compiled,
-    /// `None` unless the runtime [`crate::recorder`] sampled this span.
+    /// `None` unless the recorder sampled this span.
     rec: Option<crate::recorder::OpenEvent>,
-}
-
-#[cfg(feature = "trace")]
-struct OpenSpan {
-    name: &'static str,
-    cat: &'static str,
-    start: Instant,
-    args: Vec<(&'static str, Json)>,
 }
 
 /// Open a span. Spans on one thread must close in LIFO order (RAII makes
 /// this automatic), which is what gives the chrome trace its strict
-/// nesting. Independently of the `trace` feature, the runtime flight
-/// recorder ([`crate::recorder`]) may capture the span into the
-/// innermost scope's rings.
+/// nesting. The flight recorder ([`crate::recorder`]) captures the span
+/// into the innermost scope's rings when it is on.
 #[inline]
 #[must_use]
 pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
     let rec = if crate::recorder::enabled() { crate::recorder::begin(name, cat) } else { None };
-    #[cfg(feature = "trace")]
-    {
-        if !session_active() {
-            return SpanGuard { open: None, rec };
-        }
-        SpanGuard {
-            open: Some(OpenSpan { name, cat, start: Instant::now(), args: Vec::new() }),
-            rec,
-        }
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (name, cat);
-        SpanGuard { rec }
-    }
-}
-
-impl SpanGuard {
-    /// Attach an argument (visible in the chrome trace and EXPLAIN
-    /// drill-downs). No-op when the span is not being recorded.
-    #[inline]
-    pub fn arg(&mut self, key: &'static str, value: impl Into<Json>) {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(open) = &mut self.open {
-                open.args.push((key, value.into()));
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (key, value);
-        }
-    }
+    SpanGuard { rec }
 }
 
 impl Drop for SpanGuard {
@@ -218,120 +68,5 @@ impl Drop for SpanGuard {
         if let Some(rec) = self.rec.take() {
             crate::scope::sink_event(crate::recorder::finish(rec));
         }
-        #[cfg(feature = "trace")]
-        {
-            if let Some(open) = self.open.take() {
-                record_complete(open.name, open.cat, open.start, open.start.elapsed(), open.args);
-            }
-        }
-    }
-}
-
-/// A span-collection session. At most one is active at a time; spans
-/// opened while no session is active are discarded at zero cost.
-pub struct TraceSession {
-    #[cfg(feature = "trace")]
-    active: bool,
-}
-
-impl TraceSession {
-    /// Start collecting spans. Returns an inert session (and collects
-    /// nothing) if the `trace` feature is off or another session is
-    /// already running.
-    #[must_use]
-    pub fn begin() -> TraceSession {
-        #[cfg(feature = "trace")]
-        {
-            let fresh = !imp::ACTIVE.swap(true, std::sync::atomic::Ordering::SeqCst);
-            if fresh {
-                imp::EVENTS.lock().expect("trace events poisoned").clear();
-                let _ = imp::epoch();
-            }
-            TraceSession { active: fresh }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            TraceSession {}
-        }
-    }
-
-    /// Was span collection actually enabled for this session? (`false`
-    /// when the `trace` feature is off or a session was already active.)
-    #[must_use]
-    pub fn is_collecting(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.active
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
-    }
-
-    /// Stop collecting and return every span recorded during the
-    /// session. Empty without the `trace` feature.
-    #[must_use]
-    pub fn end(self) -> Vec<SpanRecord> {
-        #[cfg(feature = "trace")]
-        {
-            if !self.active {
-                return Vec::new();
-            }
-            imp::ACTIVE.store(false, std::sync::atomic::Ordering::SeqCst);
-            std::mem::take(&mut *imp::EVENTS.lock().expect("trace events poisoned"))
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
-    }
-}
-
-#[cfg(all(test, feature = "trace"))]
-mod tests {
-    use super::*;
-
-    // Sessions are process-global; serialize the tests that open one.
-    static SESSION_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn session_collects_nested_spans() {
-        let _serial = SESSION_TESTS.lock().unwrap();
-        let session = TraceSession::begin();
-        assert!(session.is_collecting());
-        {
-            let mut outer = span("outer", "op");
-            outer.arg("n", 3u64);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            {
-                let _inner = span("inner", "op");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        let records = session.end();
-        assert_eq!(records.len(), 2);
-        // RAII: inner closes (and records) first.
-        let inner = &records[0];
-        let outer = &records[1];
-        assert_eq!(inner.name, "inner");
-        assert_eq!(outer.name, "outer");
-        assert!(outer.ts_ns <= inner.ts_ns);
-        assert!(
-            inner.ts_ns + inner.dur_ns.unwrap() <= outer.ts_ns + outer.dur_ns.unwrap(),
-            "inner span must end within outer"
-        );
-        assert_eq!(outer.args, vec![("n", crate::json::Json::from(3u64))]);
-    }
-
-    #[test]
-    fn no_collection_outside_sessions() {
-        let _serial = SESSION_TESTS.lock().unwrap();
-        {
-            let _s = span("dropped", "op");
-        }
-        let session = TraceSession::begin();
-        let records = session.end();
-        assert!(records.iter().all(|r| r.name != "dropped"));
     }
 }
