@@ -27,11 +27,6 @@ pub enum SubsumptionMode {
     /// are sound, never merely heuristic), with far fewer entailment
     /// checks.
     Indexed,
-    /// [`SubsumptionMode::Indexed`] while the relation holds at most this
-    /// many tuples, then [`SubsumptionMode::DedupOnly`]. An explicit,
-    /// documented version of the seed's silent cutoff for workloads (huge
-    /// intermediate joins) where even indexed compression is not worth it.
-    IndexedUpTo(usize),
 }
 
 /// How joins enumerate candidate combinations: the one evaluation knob

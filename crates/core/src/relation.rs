@@ -211,10 +211,9 @@ fn fresh_version() -> u64 {
 }
 
 /// Does the policy keep the indexed subsumption store's per-tuple
-/// metadata and column buckets? (`IndexedUpTo` keeps them past its limit
-/// too, so the relation can resume indexed subsumption if it shrinks.)
+/// metadata and column buckets?
 fn indexes(policy: EnginePolicy) -> bool {
-    matches!(policy.subsumption, SubsumptionMode::Indexed | SubsumptionMode::IndexedUpTo(_))
+    policy.subsumption == SubsumptionMode::Indexed
 }
 
 impl<T: Theory> Clone for GenRelation<T> {
@@ -373,20 +372,8 @@ impl<T: Theory> GenRelation<T> {
             count(Counter::TuplesSubsumed, 1);
             return false;
         }
-        let mode = match self.policy.subsumption {
-            SubsumptionMode::DedupOnly => SubsumptionMode::DedupOnly,
-            SubsumptionMode::Quadratic => SubsumptionMode::Quadratic,
-            SubsumptionMode::Indexed => SubsumptionMode::Indexed,
-            SubsumptionMode::IndexedUpTo(n) => {
-                if self.store.tuples.len() <= n {
-                    SubsumptionMode::Indexed
-                } else {
-                    SubsumptionMode::DedupOnly
-                }
-            }
-        };
         let hull = if indexes(self.policy) { self.hull(&tuple) } else { Vec::new() };
-        match mode {
+        match self.policy.subsumption {
             SubsumptionMode::DedupOnly => {}
             SubsumptionMode::Quadratic => {
                 if !self.quadratic_subsume(&tuple) {
@@ -394,7 +381,7 @@ impl<T: Theory> GenRelation<T> {
                     return false;
                 }
             }
-            SubsumptionMode::Indexed | SubsumptionMode::IndexedUpTo(_) => {
+            SubsumptionMode::Indexed => {
                 if !self.indexed_subsume(&tuple, &hull) {
                     count(Counter::TuplesSubsumed, 1);
                     return false;
@@ -674,24 +661,6 @@ impl<T: Theory> GenRelation<T> {
             out.insert(t);
         }
         out
-    }
-
-    /// Existentially project away variable `var` (quantifier elimination on
-    /// every tuple). The result still uses the same variable numbering; the
-    /// eliminated variable simply no longer occurs.
-    ///
-    /// # Errors
-    /// Propagates `CqlError::Unsupported` from the theory.
-    pub fn eliminate(&self, var: Var) -> Result<GenRelation<T>> {
-        let mut out = GenRelation::with_policy(self.arity, self.policy);
-        for t in &self.store.tuples {
-            for conj in T::eliminate(t.constraints(), var)? {
-                if let Some(t2) = GenTuple::new(conj) {
-                    out.insert(t2);
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// All constants mentioned across all tuples.

@@ -91,7 +91,7 @@ pub mod prelude {
     pub use cql_engine::trace::TelemetryRegistry;
     pub use cql_engine::{
         algebra, calculus, cells, datalog, Admission, Engine, Executor, QueryServer, Runtime,
-        ServerConfig, Snapshot, SnapshotStore,
+        ServerConfig, Snapshot,
     };
     pub use cql_equality::{EConfig, EqConstraint, Equality};
     pub use cql_poly::{PolyConstraint, RealPoly};

@@ -205,9 +205,10 @@ pub fn intersect_with<T: Theory>(
     })
 }
 
-/// ∃ — eliminate one variable from every tuple (quantifier elimination on
-/// the executor), the engine-aware counterpart of
-/// [`GenRelation::eliminate`].
+/// ∃ — eliminate one variable from every tuple (quantifier elimination
+/// through the engine's QE cache, on the executor): the one
+/// relation-level QE. The result keeps the variable numbering; the
+/// eliminated variable simply no longer occurs.
 ///
 /// # Errors
 /// Propagates `CqlError::Unsupported` from the theory.

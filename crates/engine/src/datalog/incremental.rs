@@ -42,13 +42,20 @@
 //!   inclusion–exclusion enumeration; then a *re-derivation* phase
 //!   re-inserts over-deleted tuples whose residual count is positive
 //!   (they kept derivations from never-deleted premises) and propagates
-//!   them as ordinary insertions.
+//!   them as ordinary insertions. Insertion and over-deletion are one
+//!   signed delta-round loop: they differ only in whether a round adds
+//!   its delta to the stores or removes it, and in the sign of the
+//!   support-count adjustment.
+//!
+//! * **Relations no rule reads** (an EDB relation outside the program)
+//!   are stores only: updates apply to them directly, in zero rounds,
+//!   so a database served through the view keeps them exact and
+//!   retractable at no propagation cost.
 //!
 //! Updates count [`Counter::DeltaRounds`], [`Counter::Rederivations`]
 //! and [`Counter::SupportAdjust`], run under `view.insert` /
 //! `view.retract` / `view.delta_round` / `view.rederive` spans, and
-//! each returns an [`UpdateStats`] EXPLAIN row (also kept in an
-//! internal log for report assembly).
+//! each returns an [`UpdateStats`] EXPLAIN row.
 //!
 //! Restricted to positive programs: inflationary negation is
 //! non-monotone, so a retraction could *grow* the view and support
@@ -64,6 +71,7 @@ use cql_core::relation::{Database, GenRelation, GenTuple};
 use cql_core::theory::Theory;
 use cql_trace::{count, hist, record_hist, span, Counter, MetricsScope, UpdateStats};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-predicate batches of tuples entering (or leaving) the stores,
@@ -77,7 +85,9 @@ type Delta<T> = BTreeMap<String, Vec<GenTuple<T>>>;
 pub struct MaterializedView<T: Theory> {
     program: Program<T>,
     opts: FixpointOptions,
-    engine: Engine<T>,
+    engine: Arc<Engine<T>>,
+    /// Arity of every relation the program mentions. A store outside it
+    /// holds an EDB relation no rule reads.
     arities: BTreeMap<String, usize>,
     idb_preds: BTreeSet<String>,
     /// Derivation stores: every asserted EDB tuple / every distinct
@@ -100,12 +110,14 @@ pub struct MaterializedView<T: Theory> {
     ///
     /// [`current`]: MaterializedView::current
     journal: BTreeMap<String, Vec<(bool, GenTuple<T>)>>,
-    log: Vec<UpdateStats>,
 }
 
 impl<T: Theory> MaterializedView<T> {
     /// Materialize `program` over `edb` (the initial fixpoint runs as
-    /// one insertion propagation of every EDB tuple).
+    /// one insertion propagation of every EDB tuple the program reads).
+    /// An `edb` relation no rule reads is kept as its store as is — an
+    /// `Arc` bump when it already has the stores' dedup-only policy,
+    /// rebuilt under it otherwise — and never enters a delta round.
     ///
     /// # Errors
     /// Validation errors (the program must be positive), theory
@@ -117,7 +129,7 @@ impl<T: Theory> MaterializedView<T> {
         opts: FixpointOptions,
     ) -> Result<MaterializedView<T>> {
         program.validate(edb, false)?;
-        let engine = opts.engine();
+        let engine = Arc::new(opts.engine());
         let arities = program.arities()?;
         let idb_preds = program.idb_predicates();
         let store_policy = store_policy(&opts);
@@ -127,6 +139,22 @@ impl<T: Theory> MaterializedView<T> {
             stores.insert(name.clone(), GenRelation::with_policy(arity, store_policy));
             if idb_preds.contains(name) {
                 counts.insert(name.clone(), HashMap::new());
+            }
+        }
+        // Validation keeps rule heads out of `edb`, and a relation's
+        // tuples are distinct, so each one is a ready-made batch.
+        let mut init: Delta<T> = BTreeMap::new();
+        for (name, rel) in edb.iter() {
+            if arities.contains_key(name) {
+                init.insert(name.to_string(), rel.tuples().to_vec());
+            } else if rel.policy() == store_policy {
+                stores.insert(name.to_string(), rel.clone());
+            } else {
+                let mut store = GenRelation::with_policy(rel.arity(), store_policy);
+                for t in rel.tuples() {
+                    store.insert(t.clone());
+                }
+                stores.insert(name.to_string(), store);
             }
         }
         let cache = PlanCache::new(program.rules.len());
@@ -142,21 +170,9 @@ impl<T: Theory> MaterializedView<T> {
             cache,
             view: Database::new(),
             journal: BTreeMap::new(),
-            log: Vec::new(),
         };
-        let mut init: Delta<T> = BTreeMap::new();
         view.seed_constant_rules(&mut init)?;
-        for (name, rel) in edb.iter() {
-            if view.stores.contains_key(name) && !view.idb_preds.contains(name) {
-                let batch = init.entry(name.to_string()).or_default();
-                for t in rel.tuples() {
-                    if !batch.contains(t) {
-                        batch.push(t.clone());
-                    }
-                }
-            }
-        }
-        view.propagate_insertions(init)?;
+        view.delta_rounds(true, init)?;
         Ok(view)
     }
 
@@ -198,16 +214,19 @@ impl<T: Theory> MaterializedView<T> {
         {
             let _sp = span("view.insert", "engine");
             if !self.stores[relation].contains(&tuple) {
-                let mut delta = BTreeMap::new();
-                delta.insert(relation.to_string(), vec![tuple]);
-                self.propagate_insertions(delta)?;
+                self.apply(true, relation, tuple)?;
             }
         }
-        Ok(self.finish_update("insert", relation, &scope, started))
+        Ok(update_stats("insert", relation, &scope, started))
     }
 
     /// Retract one previously asserted EDB tuple (exact canonical
     /// match). Returns the per-update EXPLAIN row.
+    ///
+    /// DRed: over-delete the tuple's cone, decrementing support counts
+    /// with the same inclusion–exclusion enumeration as insertion, then
+    /// re-derive over-deleted tuples whose residual count shows
+    /// surviving support.
     ///
     /// # Errors
     /// Unknown or non-EDB relation, a tuple that is not currently
@@ -223,9 +242,27 @@ impl<T: Theory> MaterializedView<T> {
         let started = Instant::now();
         {
             let _sp = span("view.retract", "engine");
-            self.propagate_retraction(relation, tuple.clone())?;
+            let deleted = self.apply(false, relation, tuple.clone())?;
+            // Residual count > 0 means derivations from never-deleted
+            // premises survive: the tuple is still in the view.
+            let mut reinserts: Delta<T> = BTreeMap::new();
+            for (name, tuples) in deleted {
+                let table = self.counts.get_mut(&name).expect("head is IDB");
+                for t in tuples {
+                    if table.get(&t).copied().unwrap_or(0) > 0 {
+                        count(Counter::Rederivations, 1);
+                        reinserts.entry(name.clone()).or_default().push(t);
+                    } else {
+                        table.remove(&t);
+                    }
+                }
+            }
+            if !reinserts.is_empty() {
+                let _sp = span("view.rederive", "engine");
+                self.delta_rounds(true, reinserts)?;
+            }
         }
-        Ok(self.finish_update("retract", relation, &scope, started))
+        Ok(update_stats("retract", relation, &scope, started))
     }
 
     /// The maintained IDB, as subsumption-compressed relations (the
@@ -281,10 +318,11 @@ impl<T: Theory> MaterializedView<T> {
         self.counts.get(relation).and_then(|m| m.get(tuple)).copied().unwrap_or(0)
     }
 
-    /// The asserted EDB relations (the derivation stores of every
-    /// non-IDB predicate), in name order. Together with
-    /// [`current`](MaterializedView::current) this is the full database
-    /// at the view's present state — the snapshot store publishes both.
+    /// The asserted EDB relations (the stores of every non-IDB
+    /// relation, including those no rule reads), in name order.
+    /// Together with [`current`](MaterializedView::current) this is the
+    /// full database at the view's present state — the runtime
+    /// publishes both.
     pub fn edb(&self) -> impl Iterator<Item = (&str, &GenRelation<T>)> {
         self.stores
             .iter()
@@ -298,19 +336,14 @@ impl<T: Theory> MaterializedView<T> {
         &self.program
     }
 
-    /// EXPLAIN rows of every update applied so far, in order.
-    #[must_use]
-    pub fn updates(&self) -> &[UpdateStats] {
-        &self.log
-    }
-
-    /// Drain the per-update EXPLAIN log (for report assembly).
-    pub fn take_updates(&mut self) -> Vec<UpdateStats> {
-        std::mem::take(&mut self.log)
+    /// The view's engine (interner, QE cache, executor), which a
+    /// [`Runtime`](crate::Runtime) shares with its readers.
+    pub(crate) fn engine(&self) -> &Arc<Engine<T>> {
+        &self.engine
     }
 
     fn require_edb(&self, relation: &str, tuple: &GenTuple<T>) -> Result<()> {
-        let Some(&arity) = self.arities.get(relation) else {
+        let Some(store) = self.stores.get(relation) else {
             return Err(CqlError::UnknownRelation(relation.to_string()));
         };
         if self.idb_preds.contains(relation) {
@@ -318,47 +351,46 @@ impl<T: Theory> MaterializedView<T> {
                 "`{relation}` is an IDB predicate; only EDB relations accept updates"
             )));
         }
-        if tuple.max_var_bound() > arity {
+        if tuple.max_var_bound() > store.arity() {
             return Err(CqlError::ArityMismatch {
                 relation: relation.to_string(),
-                expected: arity,
+                expected: store.arity(),
                 found: tuple.max_var_bound(),
             });
         }
         Ok(())
     }
 
-    fn finish_update(
-        &mut self,
-        op: &str,
-        relation: &str,
-        scope: &MetricsScope,
-        started: Instant,
-    ) -> UpdateStats {
-        let snap = scope.snapshot();
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // Recorded inside the update scope; merge-on-drop folds the
-        // sample into whatever scope encloses the update.
-        record_hist(hist::VIEW_UPDATE_NS, wall_ns);
-        let stats = UpdateStats {
-            op: op.to_string(),
-            relation: relation.to_string(),
-            delta_rounds: snap.get(Counter::DeltaRounds),
-            rederivations: snap.get(Counter::Rederivations),
-            support_adjust: snap.get(Counter::SupportAdjust),
-            qe_calls: snap.get(Counter::QeCalls),
-            entailment_checks: snap.get(Counter::EntailmentChecks),
-            wall_ns,
-        };
-        self.log.push(stats.clone());
-        stats
+    /// Insert (`insert`) or remove one EDB tuple and run its delta
+    /// rounds, returning what [`delta_rounds`](Self::delta_rounds)
+    /// returns. A relation no rule reads takes the change in its store
+    /// directly, in zero rounds.
+    fn apply(&mut self, insert: bool, relation: &str, tuple: GenTuple<T>) -> Result<Delta<T>> {
+        if !self.arities.contains_key(relation) {
+            let store = self.stores.get_mut(relation).expect("checked by require_edb");
+            if insert {
+                store.insert(tuple);
+            } else {
+                store.remove(&tuple);
+            }
+            return Ok(Delta::new());
+        }
+        self.delta_rounds(insert, BTreeMap::from([(relation.to_string(), vec![tuple])]))
     }
 
-    /// Positive phase: repeat delta rounds until no new tuple is
-    /// derived. `delta` tuples must not yet be in the stores; each
-    /// round adds them, then fires every (rule, delta position) with
-    /// the inclusion–exclusion bindings of [`bind_positions`].
-    fn propagate_insertions(&mut self, mut delta: Delta<T>) -> Result<()> {
+    /// Repeat signed delta rounds until no tuple enters (`insert`) or
+    /// leaves the stores. Each round applies `delta` to the stores —
+    /// insertion tuples must be absent, deletion tuples present — then
+    /// fires every (rule, delta position) with the inclusion–exclusion
+    /// bindings of [`bind_positions`], moving each derivation's support
+    /// count by ±1. A head joins the next delta the first time the round
+    /// derives it: on insertion when its store lacks it, on deletion
+    /// (over-deletion) when its store holds it, regardless of the
+    /// residual count — a positive residual may rest only on tuples the
+    /// cascade deletes later (cyclic support), so survival is decided by
+    /// re-derivation. Returns the IDB tuples a deletion removed, per
+    /// predicate in discovery order (empty for insertion).
+    fn delta_rounds(&mut self, insert: bool, mut delta: Delta<T>) -> Result<Delta<T>> {
         let store_policy = store_policy(&self.opts);
         let MaterializedView {
             program,
@@ -373,9 +405,10 @@ impl<T: Theory> MaterializedView<T> {
             journal,
             ..
         } = self;
+        let mut deleted: Delta<T> = BTreeMap::new();
         let mut rounds = 0usize;
         while !delta.is_empty() {
-            check_budget(stores.values().map(GenRelation::len).sum(), rounds, opts)?;
+            check_budget(arities.keys().map(|name| stores[name].len()).sum(), rounds, opts)?;
             rounds += 1;
             count(Counter::DeltaRounds, 1);
             let _round_span = span("view.delta_round", "round");
@@ -385,14 +418,25 @@ impl<T: Theory> MaterializedView<T> {
                 if reads_old(program, &delta, name) {
                     old.insert(name.clone(), stores[name].clone());
                 }
-                let mut drel = GenRelation::with_policy(arities[name], store_policy);
                 let store = stores.get_mut(name).expect("known predicate");
-                for t in tuples {
-                    let added = store.insert(t.clone());
-                    debug_assert!(added, "insertion delta tuples are new by construction");
-                    if idb_preds.contains(name) {
-                        journal.entry(name.clone()).or_default().push((true, t.clone()));
+                if insert {
+                    for t in tuples {
+                        let added = store.insert(t.clone());
+                        debug_assert!(added, "insertion delta tuples are new by construction");
                     }
+                } else {
+                    let removed = store.remove_all(tuples);
+                    debug_assert_eq!(removed, tuples.len(), "deletion delta tuples are stored");
+                }
+                if idb_preds.contains(name) {
+                    let events = journal.entry(name.clone()).or_default();
+                    events.extend(tuples.iter().map(|t| (insert, t.clone())));
+                    if !insert {
+                        deleted.entry(name.clone()).or_default().extend(tuples.iter().cloned());
+                    }
+                }
+                let mut drel = GenRelation::with_policy(arities[name], store_policy);
+                for t in tuples {
                     drel.insert(t.clone());
                 }
                 drels.insert(name.clone(), drel);
@@ -412,12 +456,18 @@ impl<T: Theory> MaterializedView<T> {
                     let head = &rule.head.relation;
                     for t in fired {
                         count(Counter::SupportAdjust, 1);
-                        *counts
+                        let c = counts
                             .get_mut(head)
                             .expect("head is IDB")
                             .entry(t.clone())
-                            .or_insert(0) += 1;
-                        if !stores[head].contains(&t)
+                            .or_insert(0);
+                        if insert {
+                            *c += 1;
+                        } else {
+                            debug_assert!(*c > 0, "support count underflow");
+                            *c = c.saturating_sub(1);
+                        }
+                        if stores[head].contains(&t) != insert
                             && pending.entry(head.clone()).or_default().insert(t.clone())
                         {
                             dirty.insert(head.clone());
@@ -428,119 +478,26 @@ impl<T: Theory> MaterializedView<T> {
             }
             delta = next;
         }
-        Ok(())
+        Ok(deleted)
     }
+}
 
-    /// Negative phase (DRed): over-delete the retracted tuple's cone,
-    /// decrementing support counts with the same inclusion–exclusion
-    /// enumeration as insertion, then re-derive over-deleted tuples
-    /// whose residual count shows surviving support.
-    fn propagate_retraction(&mut self, relation: &str, tuple: GenTuple<T>) -> Result<()> {
-        let store_policy = store_policy(&self.opts);
-        let mut reinserts: Delta<T> = BTreeMap::new();
-        {
-            let MaterializedView {
-                program,
-                opts,
-                engine,
-                arities,
-                idb_preds,
-                stores,
-                counts,
-                cache,
-                dirty,
-                journal,
-                ..
-            } = self;
-            // Over-deleted IDB tuples, in discovery order (sets for the
-            // membership tests, vectors to keep propagation and
-            // re-derivation deterministic).
-            let mut deleted: Delta<T> = BTreeMap::new();
-            let mut deleted_set: BTreeMap<String, HashSet<GenTuple<T>>> = BTreeMap::new();
-            let mut d: Delta<T> = BTreeMap::new();
-            d.insert(relation.to_string(), vec![tuple]);
-            let mut rounds = 0usize;
-            while !d.is_empty() {
-                check_budget(stores.values().map(GenRelation::len).sum(), rounds, opts)?;
-                rounds += 1;
-                count(Counter::DeltaRounds, 1);
-                let _round_span = span("view.delta_round", "round");
-                let mut old: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
-                let mut drels: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
-                for (name, tuples) in &d {
-                    if reads_old(program, &d, name) {
-                        old.insert(name.clone(), stores[name].clone());
-                    }
-                    let mut drel = GenRelation::with_policy(arities[name], store_policy);
-                    let removed = stores.get_mut(name).expect("known predicate").remove_all(tuples);
-                    debug_assert_eq!(removed, tuples.len(), "deletion delta tuples are stored");
-                    for t in tuples {
-                        if idb_preds.contains(name) {
-                            journal.entry(name.clone()).or_default().push((false, t.clone()));
-                        }
-                        drel.insert(t.clone());
-                    }
-                    drels.insert(name.clone(), drel);
-                }
-                let mut next: Delta<T> = BTreeMap::new();
-                for (ri, rule) in program.rules.iter().enumerate() {
-                    for (li, lit) in rule.body.iter().enumerate() {
-                        let Literal::Pos(a) = lit else { continue };
-                        let Some(drel) = drels.get(&a.relation) else { continue };
-                        let rels = bind_positions(rule, li, drel, stores, &old);
-                        let fired = project_conjs(
-                            engine,
-                            rule,
-                            fire_multiway(engine, ri, rule, &rels, Some(li), cache),
-                        )?;
-                        let head = &rule.head.relation;
-                        for t in fired {
-                            count(Counter::SupportAdjust, 1);
-                            let c = counts
-                                .get_mut(head)
-                                .expect("head is IDB")
-                                .entry(t.clone())
-                                .or_insert(0);
-                            debug_assert!(*c > 0, "support count underflow");
-                            *c = c.saturating_sub(1);
-                            // Over-delete regardless of the residual
-                            // count: a positive residual may rest only
-                            // on tuples this cascade deletes later
-                            // (cyclic support), so survival is decided
-                            // by the re-derivation phase.
-                            if stores[head].contains(&t)
-                                && deleted_set.entry(head.clone()).or_default().insert(t.clone())
-                            {
-                                dirty.insert(head.clone());
-                                next.entry(head.clone()).or_default().push(t);
-                            }
-                        }
-                    }
-                }
-                for (name, tuples) in &next {
-                    deleted.entry(name.clone()).or_default().extend(tuples.iter().cloned());
-                }
-                d = next;
-            }
-            // Residual count > 0 means derivations from never-deleted
-            // premises survive: the tuple is still in the view.
-            for (name, tuples) in deleted {
-                let table = counts.get_mut(&name).expect("head is IDB");
-                for t in tuples {
-                    if table.get(&t).copied().unwrap_or(0) > 0 {
-                        count(Counter::Rederivations, 1);
-                        reinserts.entry(name.clone()).or_default().push(t);
-                    } else {
-                        table.remove(&t);
-                    }
-                }
-            }
-        }
-        if !reinserts.is_empty() {
-            let _sp = span("view.rederive", "engine");
-            self.propagate_insertions(reinserts)?;
-        }
-        Ok(())
+/// The EXPLAIN row of one update, read from its metrics scope.
+fn update_stats(op: &str, relation: &str, scope: &MetricsScope, started: Instant) -> UpdateStats {
+    let snap = scope.snapshot();
+    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    // Recorded inside the update scope; merge-on-drop folds the sample
+    // into whatever scope encloses the update.
+    record_hist(hist::VIEW_UPDATE_NS, wall_ns);
+    UpdateStats {
+        op: op.to_string(),
+        relation: relation.to_string(),
+        delta_rounds: snap.get(Counter::DeltaRounds),
+        rederivations: snap.get(Counter::Rederivations),
+        support_adjust: snap.get(Counter::SupportAdjust),
+        qe_calls: snap.get(Counter::QeCalls),
+        entailment_checks: snap.get(Counter::EntailmentChecks),
+        wall_ns,
     }
 }
 
@@ -735,7 +692,6 @@ mod tests {
         assert_matches_batch(&mut view, &[(0, 1), (1, 2), (3, 4)]);
         view.insert("E", edge(2, 3)).unwrap();
         assert_matches_batch(&mut view, &edges);
-        assert_eq!(view.updates().len(), 2);
     }
 
     #[test]
@@ -746,5 +702,25 @@ mod tests {
         assert!(matches!(view.insert("T", edge(5, 6)), Err(CqlError::Malformed(_))));
         assert!(matches!(view.insert("Q", edge(5, 6)), Err(CqlError::UnknownRelation(_))));
         assert!(matches!(view.retract("E", &edge(7, 8)), Err(CqlError::Malformed(_))));
+    }
+
+    #[test]
+    fn relations_no_rule_reads_accept_updates_in_zero_rounds() {
+        let mut db = edge_db(&[(0, 1)]);
+        db.insert("P", GenRelation::empty(1));
+        let mut view =
+            MaterializedView::new(tc_program(), &db, FixpointOptions::default()).unwrap();
+        let t = GenTuple::new(vec![DenseConstraint::eq_const(0, 9)]).unwrap();
+        let stats = view.insert("P", t.clone()).unwrap();
+        assert_eq!((stats.delta_rounds, stats.support_adjust), (0, 0));
+        let rel =
+            |view: &MaterializedView<Dense>| view.edb().find(|(n, _)| *n == "P").unwrap().1.len();
+        assert_eq!(rel(&view), 1);
+        let stats = view.retract("P", &t).unwrap();
+        assert_eq!((stats.delta_rounds, stats.support_adjust), (0, 0));
+        assert_eq!(rel(&view), 0);
+        assert!(matches!(view.retract("P", &t), Err(CqlError::Malformed(_))));
+        assert!(matches!(view.insert("P", edge(1, 2)), Err(CqlError::ArityMismatch { .. })));
+        assert_matches_batch(&mut view, &[(0, 1)]);
     }
 }

@@ -55,7 +55,6 @@ pub mod interner;
 pub mod qe_cache;
 pub mod runtime;
 pub mod server;
-pub mod snapshot;
 
 pub use cql_core::{EnginePolicy, JoinMode, SubsumptionMode};
 pub use cql_trace as trace;
@@ -63,9 +62,8 @@ pub use datalog::incremental::MaterializedView;
 pub use executor::Executor;
 pub use interner::Interner;
 pub use qe_cache::QeCache;
-pub use runtime::Runtime;
+pub use runtime::{Runtime, Snapshot};
 pub use server::{Admission, QueryServer, ServerConfig};
-pub use snapshot::{Snapshot, SnapshotStore};
 
 use cql_core::error::Result;
 use cql_core::relation::{GenRelation, GenTuple};

@@ -177,31 +177,3 @@ proptest! {
         assert_intern_transparent::<cql_equality::Equality>(&conjs);
     }
 }
-
-#[test]
-fn indexed_up_to_degrades_to_dedup() {
-    // IndexedUpTo(n): compression runs while the relation is small, then
-    // inserts become dedup-only. The relation stays a superset of the
-    // fully-compressed one and contains no exact duplicates.
-    let policy = EnginePolicy::with_subsumption(SubsumptionMode::IndexedUpTo(2));
-    let mut rel = GenRelation::<cql_dense::Dense>::with_policy(1, policy);
-    for c in 0..4i64 {
-        let t = GenTuple::new(vec![DenseConstraint::eq_const(0, c)]).unwrap();
-        assert!(rel.insert(t.clone()));
-        assert!(!rel.insert(t), "duplicate insert must be dropped in every mode");
-    }
-    // Past the cutoff inserts are dedup-only: `x ≤ 5` would evict every
-    // `x = c` under full compression but here everything survives.
-    let t = GenTuple::new(vec![DenseConstraint::le_const(0, 5)]).unwrap();
-    assert!(rel.insert(t));
-    assert_eq!(rel.len(), 5);
-
-    let mut compressed = GenRelation::<cql_dense::Dense>::with_policy(
-        1,
-        EnginePolicy::with_subsumption(SubsumptionMode::Indexed),
-    );
-    for t in rel.tuples() {
-        compressed.insert(t.clone());
-    }
-    assert_eq!(compressed.len(), 1);
-}

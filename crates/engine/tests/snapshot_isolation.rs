@@ -120,7 +120,7 @@ fn readers_never_observe_a_partial_commit() {
     assert_eq!(final_snap.relation("E").expect("E").len(), 100);
     // 20 components × (5·6/2 = 15 closure pairs) = 300.
     assert_eq!(final_snap.relation("T").expect("T").len(), 300);
-    assert_eq!(runtime.store().commits(), 100);
+    assert_eq!(runtime.commits(), 100);
 }
 
 #[test]
