@@ -44,8 +44,8 @@ use cql_engine::{
 };
 use cql_index::{Backend, GeneralizedIndex};
 use cql_trace::{
-    chrome, expose, hist, histogram, json, recorder, span, watchdog, AnomalyStats, Counter,
-    EvalReport, Histogram, Json, MetricsScope, RecorderConfig, SloRule, TelemetryRegistry,
+    chrome, expose, hist, histogram, json, recorder, span, watchdog, Counter, EvalReport,
+    Histogram, Json, MetricsScope, RecorderConfig, SloBreach, SloRule, TelemetryRegistry,
     TelemetrySnapshot,
 };
 use std::collections::BTreeSet;
@@ -1165,7 +1165,7 @@ fn recorder_flight(em: &mut Emitter) -> RecorderOutcome {
     let (prior, prior_capacity) = (recorder::config(), recorder::ring_capacity());
     recorder::set_ring_capacity(prior_capacity.max(1 << 16));
     let registry = TelemetryRegistry::new();
-    registry.set_recorder(RecorderConfig::Always);
+    recorder::set_config(RecorderConfig::Always);
     let handle = registry.register("e20");
     {
         let _g = handle.install();
@@ -1197,7 +1197,7 @@ fn recorder_flight(em: &mut Emitter) -> RecorderOutcome {
             }
         }
     }
-    registry.set_recorder(RecorderConfig::Off);
+    recorder::set_config(RecorderConfig::Off);
 
     let events = handle.recorded_events();
     let span_ids: BTreeSet<u64> = events.iter().map(|e| e.span_id).collect();
@@ -1254,10 +1254,10 @@ fn recorder_flight(em: &mut Emitter) -> RecorderOutcome {
         .max()
         .unwrap_or(1_000_000);
     let threshold_ns = observed_max.saturating_mul(3) / 2 + 1;
-    registry.set_slo_rules(vec![SloRule::new(hist::VIEW_UPDATE_NS, 0.99, threshold_ns)]);
+    watchdog::set_rules(vec![SloRule::new(hist::VIEW_UPDATE_NS, 0.99, threshold_ns)]);
     watchdog::set_dump_dir(Some(std::path::PathBuf::from("target")));
-    let _ = registry.take_breaches(); // drop stale history
-    registry.set_recorder(RecorderConfig::Always);
+    let _ = watchdog::take_breaches(); // drop stale history
+    recorder::set_config(RecorderConfig::Always);
     {
         let scope = MetricsScope::enter("e20-breach");
         {
@@ -1266,11 +1266,11 @@ fn recorder_flight(em: &mut Emitter) -> RecorderOutcome {
         }
         drop(scope); // the at-drop watchdog check runs here
     }
-    registry.set_recorder(prior);
+    recorder::set_config(prior);
     recorder::set_ring_capacity(prior_capacity);
-    registry.set_slo_rules(Vec::new());
+    watchdog::set_rules(Vec::new());
     watchdog::set_dump_dir(None);
-    let breaches = registry.take_breaches();
+    let breaches = watchdog::take_breaches();
     let breach = breaches.iter().find(|b| b.scope == "e20-breach");
     let breach_tripped = breach.is_some();
     let mut dump_parsed = false;
@@ -1296,18 +1296,6 @@ fn recorder_flight(em: &mut Emitter) -> RecorderOutcome {
     } else {
         em.note("\nSLO breach DID NOT TRIP (selfcheck will fail)");
     }
-    let anomalies: Vec<AnomalyStats> = breaches
-        .iter()
-        .map(|b| AnomalyStats {
-            scope: b.scope.clone(),
-            hist: b.hist.clone(),
-            quantile: b.quantile,
-            observed_ns: b.observed,
-            threshold_ns: b.max_ns,
-            dump_path: b.dump_path.clone().unwrap_or_default(),
-        })
-        .collect();
-
     em.datum("captured_events", events.len() as u64);
     em.datum("nonzero_buckets", nonzero_buckets);
     em.datum("exemplar_lines", exemplar_lines);
@@ -1316,7 +1304,7 @@ fn recorder_flight(em: &mut Emitter) -> RecorderOutcome {
     em.datum("breach_tripped", breach_tripped);
     em.datum("dump_parsed", dump_parsed);
     em.datum("dump_events", dump_events);
-    em.datum("anomalies", Json::Arr(anomalies.iter().map(AnomalyStats::to_json).collect()));
+    em.datum("anomalies", Json::Arr(breaches.iter().map(SloBreach::to_json).collect()));
     RecorderOutcome {
         exemplar_coverage: exemplar_coverage && prometheus_valid,
         nonzero_buckets,
@@ -2101,7 +2089,8 @@ fn run_compare(doc: &Json) -> Result<String, String> {
 }
 
 /// Re-parse everything this run emitted: the JSON document round-trips,
-/// the E13 EXPLAIN report deserializes with non-empty rounds, the E15
+/// the E13 EXPLAIN report's JSON re-parses to itself with one `rounds`
+/// entry per fixpoint round (at least one), the E15
 /// dormant-telemetry overhead stays under its pinned 5% bound, the E16
 /// filtering A/B preserved results and hit its ≥2x solver-work target,
 /// the E17 multiway A/B produced byte-identical results with ≥2x fewer
@@ -2138,16 +2127,22 @@ fn run_selfcheck(
     checks.push("doc round-trip".to_string());
 
     if let Some(report) = e13 {
-        let text = report.to_json().pretty();
-        let back = EvalReport::from_json(&json::parse(&text).map_err(|e| format!("report: {e}"))?)
-            .map_err(|e| format!("report from_json: {e}"))?;
-        if back != *report {
+        let emitted = report.to_json();
+        let back = json::parse(&emitted.pretty()).map_err(|e| format!("report: {e}"))?;
+        if back != emitted {
             return Err("EvalReport JSON round-trip mismatch".into());
         }
-        if report.rounds.is_empty() {
+        let rounds = back.get("rounds").and_then(Json::as_arr).map_or(0, <[Json]>::len);
+        if rounds != report.rounds.len() {
+            return Err(format!(
+                "EvalReport JSON has {rounds} rounds, the report {}",
+                report.rounds.len()
+            ));
+        }
+        if rounds == 0 {
             return Err("EvalReport has no fixpoint rounds".into());
         }
-        checks.push(format!("e13 report ({} rounds)", report.rounds.len()));
+        checks.push(format!("e13 report ({rounds} rounds)"));
     }
 
     if let Some(pct) = e15 {

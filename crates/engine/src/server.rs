@@ -30,6 +30,7 @@
 
 use crate::trace::{MetricsScope, TelemetryRegistry};
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -78,25 +79,30 @@ impl<Resp> Admission<Resp> {
     }
 }
 
+/// The one-shot cell a worker fills with the handler's response, or with
+/// its panic.
+type Slot<Resp> = Arc<(Mutex<Option<std::thread::Result<Resp>>>, Condvar)>;
+
 /// A one-shot response slot: the worker fills it, the submitting client
 /// blocks on [`Ticket::wait`].
 pub struct Ticket<Resp> {
-    cell: Arc<(Mutex<Option<Resp>>, Condvar)>,
+    cell: Slot<Resp>,
 }
 
 impl<Resp> Ticket<Resp> {
     /// Block until the response arrives.
     ///
     /// # Panics
-    /// Panics if the serving thread panicked while handling the request
-    /// (the slot's mutex is poisoned).
+    /// Re-raises the handler's panic if it panicked while handling the
+    /// request. The worker that ran it survives and keeps serving.
     #[must_use]
     pub fn wait(self) -> Resp {
         let (slot, ready) = &*self.cell;
         let mut guard = slot.lock().expect("response slot poisoned");
         loop {
-            if let Some(resp) = guard.take() {
-                return resp;
+            if let Some(result) = guard.take() {
+                drop(guard);
+                return result.unwrap_or_else(|panic| resume_unwind(panic));
             }
             guard = ready.wait(guard).expect("response slot poisoned");
         }
@@ -106,7 +112,7 @@ impl<Resp> Ticket<Resp> {
 struct Job<Req, Resp> {
     tenant: String,
     req: Req,
-    ticket: Arc<(Mutex<Option<Resp>>, Condvar)>,
+    ticket: Slot<Resp>,
 }
 
 struct QueueState<Req, Resp> {
@@ -255,20 +261,23 @@ fn worker_loop<Req: Send, Resp: Send>(shared: &Shared<Req, Resp>) {
         };
         set_active(shared, &job.tenant, 1);
         let handle = shared.registry.register(&job.tenant);
-        let resp = {
+        let result = {
             let _tenant = handle.install();
             // Per-query scope: folds into the tenant scope on drop and
             // runs the armed SLO-watchdog check (recorder freeze on
             // breach) — exactly the instrumentation a standalone
             // evaluation gets.
             let _query = MetricsScope::enter("server.query");
-            (shared.handler)(&job.tenant, job.req)
+            // A panicking handler fails its own ticket, not the worker.
+            catch_unwind(AssertUnwindSafe(|| (shared.handler)(&job.tenant, job.req)))
         };
-        let (slot, ready) = &*job.ticket;
-        *slot.lock().expect("response slot poisoned") = Some(resp);
-        ready.notify_all();
+        // Settle the counts before answering, so a client that holds its
+        // response never sees its own query as in flight.
         set_active(shared, &job.tenant, -1);
         shared.completed.fetch_add(1, Ordering::Relaxed);
+        let (slot, ready) = &*job.ticket;
+        *slot.lock().expect("response slot poisoned") = Some(result);
+        ready.notify_all();
     }
 }
 
@@ -368,6 +377,59 @@ mod tests {
         for (i, t) in tickets.into_iter().enumerate() {
             assert_eq!(t.wait(), (i as u64) * 2);
         }
+    }
+
+    /// Wait for `ticket` on a helper thread: `None` when it is still
+    /// unfilled after five seconds, else what `wait` returned or raised.
+    fn wait_within<Resp: Send + 'static>(
+        ticket: Ticket<Resp>,
+    ) -> Option<std::thread::Result<Resp>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(|| ticket.wait())));
+        });
+        let outcome = rx.recv_timeout(std::time::Duration::from_secs(5)).ok();
+        if outcome.is_some() {
+            waiter.join().expect("the waiter catches the ticket's panic");
+        }
+        outcome
+    }
+
+    #[test]
+    fn a_panicking_handler_fails_its_ticket_and_keeps_its_worker() {
+        let registry = Arc::new(TelemetryRegistry::new());
+        // One worker: the requests after the panic are served only if it
+        // survived.
+        let server = QueryServer::start(
+            ServerConfig { workers: 1, queue_capacity: 16 },
+            Arc::clone(&registry),
+            |_t, n: u64| {
+                assert_ne!(n, 7, "injected handler panic");
+                n * 2
+            },
+        );
+        let tickets: Vec<_> =
+            [7u64, 1, 2].iter().map(|&n| server.submit("t", n).ticket().expect("queued")).collect();
+        let outcomes: Vec<_> = tickets.into_iter().map(wait_within).collect();
+        if outcomes.iter().any(Option::is_none) {
+            // The pool died with the handler; dropping the server would
+            // panic again in `join`, so leak it and report the hang.
+            std::mem::forget(server);
+            panic!(
+                "tickets left unfilled: {:?}",
+                outcomes.iter().map(Option::is_none).collect::<Vec<_>>()
+            );
+        }
+        let mut outcomes = outcomes.into_iter().flatten();
+        assert!(outcomes.next().is_some_and(|r| r.is_err()), "wait must re-raise the panic");
+        let later: Vec<u64> = outcomes.map(|r| r.expect("later requests are served")).collect();
+        assert_eq!(later, vec![2, 4]);
+        assert_eq!(server.workers(), 1);
+        let rows: BTreeMap<String, u64> = server.gauges().into_iter().collect();
+        assert_eq!(rows["server_active_queries"], 0, "the panicked query left the in-flight count");
+        assert_eq!(rows["server_completed"], 3);
+        assert_eq!(registry.snapshot_scope("t").unwrap().gauges["active_queries"], 0);
+        server.shutdown(); // joins the worker; a dead one would panic here
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`MetricsScope`] entered on the issuing thread captures *exactly* the
 //! counts produced on its behalf, no matter how many worker threads the
 //! [`Executor`] fans out to — workers install the issuing thread's scope
-//! handle, so nothing lands in the process root or a sibling scope. CI
+//! handle, so nothing is lost or lands in a sibling scope. CI
 //! runs this file under `CQL_ENGINE_THREADS=1` and `=4`.
 
 use cql_arith::Rat;

@@ -122,7 +122,7 @@ fn injected_slowdown_trips_watchdog_and_dumps_parseable_trace() {
     let dump_dir = std::env::temp_dir().join("cql-recorder-capture-test");
     let _ = std::fs::remove_dir_all(&dump_dir);
     watchdog::set_dump_dir(Some(dump_dir.clone()));
-    watchdog::set_rules(vec![SloRule::parse("view_update_ns p99 < 1ms").expect("rule parses")]);
+    watchdog::set_rules(vec![SloRule::new(hist::VIEW_UPDATE_NS, 0.99, 1_000_000)]);
     let _ = watchdog::take_breaches(); // drop stale history
 
     let breaches = {
@@ -143,7 +143,7 @@ fn injected_slowdown_trips_watchdog_and_dumps_parseable_trace() {
         watchdog::take_breaches()
     };
     recorder::set_config(RecorderConfig::Off);
-    watchdog::clear_rules();
+    watchdog::set_rules(Vec::new());
     watchdog::set_dump_dir(None);
 
     let breach = breaches

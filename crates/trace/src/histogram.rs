@@ -23,8 +23,8 @@
 //! construction and clamps to the exactly-tracked `min`/`max`.
 //!
 //! Each bucket can additionally carry an [`Exemplar`] — the most recent
-//! `(span id, scope, value)` triple recorded into it via
-//! [`Histogram::record_exemplar`] — linking the bucket to a concrete
+//! `(span id, scope, value)` triple recorded into it while a recorded
+//! span was open — linking the bucket to a concrete
 //! flight-recorder span (see [`crate::exemplar`]). Exemplars are
 //! diagnostic annotations: they ride [`Histogram::merge`] (incoming side
 //! wins, being newer) but are **excluded from equality**, so the exact
@@ -38,14 +38,13 @@ use std::collections::BTreeMap;
 const SUB_BITS: u32 = 5;
 
 /// The largest possible bucket index for a `u64` sample
-/// (`bucket_index(u64::MAX)`), useful for sizing dense tables.
-pub const MAX_BUCKET_INDEX: u32 = ((64 - SUB_BITS) << SUB_BITS) + ((1 << SUB_BITS) - 1);
+/// (`bucket_index(u64::MAX)`).
+const MAX_BUCKET_INDEX: u32 = ((64 - SUB_BITS) << SUB_BITS) + ((1 << SUB_BITS) - 1);
 
 /// The fixed bucket a sample falls into. Values below `2^5` are exact
 /// (index = value); larger values share an index with at most `1/32`
 /// relative spread.
-#[must_use]
-pub fn bucket_index(v: u64) -> u32 {
+fn bucket_index(v: u64) -> u32 {
     if v < (1 << SUB_BITS) {
         return u32::try_from(v).expect("v < 32");
     }
@@ -54,9 +53,8 @@ pub fn bucket_index(v: u64) -> u32 {
     ((msb - SUB_BITS + 1) << SUB_BITS) + sub
 }
 
-/// The inclusive `[lo, hi]` range of samples mapping to bucket `idx`.
-/// Inverse of [`bucket_index`] in the sense that
-/// `bucket_index(lo) == bucket_index(hi) == idx`.
+/// The inclusive `[lo, hi]` range of samples mapping to bucket `idx`:
+/// every sample in it, and no other, lands in bucket `idx`.
 #[must_use]
 pub fn bucket_bounds(idx: u32) -> (u64, u64) {
     if idx < (1 << SUB_BITS) {
@@ -108,14 +106,6 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Record `n` occurrences of the same sample value.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -123,14 +113,14 @@ impl Histogram {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
-        self.count += n;
-        self.sum = self.sum.saturating_add(v.saturating_mul(n));
-        *self.buckets.entry(bucket_index(v)).or_insert(0) += n;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        *self.buckets.entry(bucket_index(v)).or_insert(0) += 1;
     }
 
     /// Record one sample and stamp its bucket's exemplar with the
     /// recorded span that produced it (most recent wins).
-    pub fn record_exemplar(&mut self, v: u64, span_id: u64, scope: &str) {
+    pub(crate) fn record_exemplar(&mut self, v: u64, span_id: u64, scope: &str) {
         self.record(v);
         self.exemplars
             .insert(bucket_index(v), Exemplar { span_id, scope: scope.to_string(), value: v });
@@ -140,12 +130,6 @@ impl Histogram {
     #[must_use]
     pub fn exemplar(&self, idx: u32) -> Option<&Exemplar> {
         self.exemplars.get(&idx)
-    }
-
-    /// All retained exemplars as `(bucket index, exemplar)` pairs in
-    /// ascending index order.
-    pub fn exemplars(&self) -> impl Iterator<Item = (u32, &Exemplar)> + '_ {
-        self.exemplars.iter().map(|(&idx, ex)| (idx, ex))
     }
 
     /// Fold `other` into `self`: bucket-wise addition, exact (the result
@@ -195,13 +179,6 @@ impl Histogram {
     #[must_use]
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean sample value (`None` when empty).
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
     /// The non-empty buckets as `(index, count)` pairs in ascending
@@ -471,7 +448,7 @@ mod tests {
         assert_eq!(bucket_index(1001), idx, "test premise: shared bucket");
         assert_eq!(h.exemplar(idx).map(|e| e.span_id), Some(8));
         assert_eq!(h.exemplar(bucket_index(5)).map(|e| e.span_id), Some(9));
-        assert_eq!(h.exemplars().count(), 2);
+        assert_eq!(h.exemplars.len(), 2);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`MetricsScope`] — scoped, thread-aggregated evaluation counters
 //!   and per-operator timings. Per-query, nestable, merge-on-drop;
 //!   exact under any executor width (the engine's executor installs the
-//!   scope on every worker). Replaces the racy process-global atomics
-//!   the core crate's old `metrics` module used to be.
+//!   scope on every worker). Work done with no scope installed is not
+//!   counted: there is no process-wide total.
 //! * [`span()`]/[`SpanGuard`] — span sites around calculus disjuncts,
 //!   algebra operators, fixpoint rounds, QE calls, executor batches and
 //!   interner epochs, all captured by the flight recorder below.
@@ -24,15 +24,15 @@
 //!   most recent `(span id, scope, value)` triple, exposed through the
 //!   Prometheus (`# {…}` OpenMetrics syntax) and JSON expositions, so a
 //!   p99 bucket links to the recorded span that landed there.
-//! * [`watchdog`] — declarative SLO rules (`view_update_ns p99 < 2ms`)
-//!   checked at scope drop; a breach freezes the scope's recorder rings
-//!   and dumps them as a chrome trace, plus an [`EvalReport`] anomaly
-//!   row.
+//! * [`watchdog`] — declarative SLO rules (p99 of `view_update_ns`
+//!   under 2ms) checked at scope drop; a breach freezes the scope's
+//!   recorder rings, dumps them as a chrome trace and records a
+//!   [`SloBreach`].
 //! * [`EvalReport`] — the EXPLAIN artifact: per-round fixpoint telemetry
 //!   (delta size, tuples produced/subsumed, entailment checks, QE and
 //!   wall time), per-operator inclusive timings, counter totals.
 //!   Renders as a text table or JSON; `repro --trace <exp> --json`
-//!   emits it mechanically.
+//!   emits it mechanically. Write-only: nothing parses it back.
 //! * [`Histogram`] — dependency-free log-bucketed streaming histograms
 //!   (~1.6% relative error, exact bucket-wise merge) recorded for QE
 //!   call latency, fixpoint-round wall, multiway-probe fanout and
@@ -71,10 +71,10 @@ pub use histogram::Histogram;
 pub use json::Json;
 pub use recorder::{RecorderConfig, RingStats, SpanEvent};
 pub use registry::{ScopeReading, TelemetryRegistry, TelemetrySnapshot};
-pub use report::{AnomalyStats, EvalReport, OperatorStats, PlanStats, RoundStats, UpdateStats};
+pub use report::{EvalReport, OperatorStats, PlanStats, RoundStats, UpdateStats};
 pub use scope::{
-    count, current_handle, hist, op_timed, qe_timed, record_hist, root_reset, root_snapshot,
-    Counter, MetricsScope, MetricsSnapshot, OpAgg, ScopeHandle, COUNTERS,
+    count, current_handle, hist, op_timed, qe_timed, record_hist, Counter, MetricsScope,
+    MetricsSnapshot, OpAgg, ScopeHandle,
 };
 pub use span::{span, SpanGuard, SpanRecord};
 pub use watchdog::{SloBreach, SloRule};

@@ -14,7 +14,7 @@
 //!   ids, a process-relative nanosecond timestamp, a duration and a
 //!   process-unique span id;
 //! * every [`MetricsScope`](crate::MetricsScope) (and every detached
-//!   registry scope) owns an [`EventBuffer`]: one [`SpanRing`] per
+//!   registry scope) owns an event buffer: one fixed-capacity ring per
 //!   recording thread, so capture is exact-attribution — an event lands
 //!   in the scope that was innermost on its thread, exactly like the
 //!   counters and histograms;
@@ -30,8 +30,8 @@
 //! ring, globally, and through `Counter::RecorderDropped`), so silent
 //! loss under load is visible in [`gauges`].
 //!
-//! The recorder is process-global state, like the scope root: one
-//! configuration, one label table, one span-id sequence. Rings live in
+//! The recorder is process-global state: one configuration, one label
+//! table, one span-id sequence, one root buffer. Rings live in
 //! scopes; they are touched only by their own thread during capture and
 //! by the folding thread at scope drop, so the per-scope mutex guarding
 //! them is effectively uncontended.
@@ -44,9 +44,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Runtime capture mode, settable on a
-/// [`TelemetryRegistry`](crate::TelemetryRegistry) or directly via
-/// [`set_config`]. No compile-time feature is involved.
+/// Runtime capture mode, set with [`set_config`]. No compile-time feature
+/// is involved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecorderConfig {
     /// Capture nothing (the default; one relaxed atomic load per site).
@@ -69,10 +68,10 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 /// Default per-thread ring capacity, in events.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Duration sentinel marking an instant event inside a [`SpanEvent`].
-pub const INSTANT: u64 = u64::MAX;
+const INSTANT: u64 = u64::MAX;
 
 thread_local! {
     /// Dense recorder-local thread id (stable for the thread's lifetime).
@@ -123,7 +122,7 @@ pub fn config() -> RecorderConfig {
 /// cost of a capture site when the recorder is off.
 #[inline]
 #[must_use]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     MODE.load(Ordering::Relaxed) != 0
 }
 
@@ -155,8 +154,7 @@ pub(crate) fn sample() -> bool {
 }
 
 /// The recorder-local id of the calling thread.
-#[must_use]
-pub fn thread_id() -> u64 {
+fn thread_id() -> u64 {
     TID.with(|t| *t)
 }
 
@@ -164,7 +162,7 @@ pub fn thread_id() -> u64 {
 /// calling thread — what histogram exemplars attach to. `None` when the
 /// recorder is off or no recorded span is open.
 #[must_use]
-pub fn current_span_id() -> Option<u64> {
+pub(crate) fn current_span_id() -> Option<u64> {
     OPEN.with(|open| open.borrow().last().copied())
 }
 
@@ -204,7 +202,7 @@ pub fn resolve_label(id: u32) -> &'static str {
 
 /// One captured span, 48 bytes: interned label/category, process-unique
 /// span id, recorder thread id, epoch-relative start and duration
-/// (duration [`INSTANT`] marks an instant event).
+/// (duration `u64::MAX` marks an instant event).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanEvent {
     /// Interned span name (resolve via [`resolve_label`]).
@@ -217,14 +215,14 @@ pub struct SpanEvent {
     pub tid: u64,
     /// Start, nanoseconds since the recorder epoch.
     pub ts_ns: u64,
-    /// Duration in nanoseconds, or [`INSTANT`].
+    /// Duration in nanoseconds, or `u64::MAX` for an instant event.
     pub dur_ns: u64,
 }
 
 /// A fixed-capacity keep-most-recent ring of [`SpanEvent`]s for one
 /// thread, with an eviction count.
 #[derive(Debug)]
-pub struct SpanRing {
+struct SpanRing {
     capacity: usize,
     events: VecDeque<SpanEvent>,
     dropped: u64,
@@ -247,36 +245,6 @@ impl SpanRing {
         self.events.push_back(event);
         evicted
     }
-
-    /// Events currently held, oldest first.
-    #[must_use]
-    pub fn events(&self) -> Vec<SpanEvent> {
-        self.events.iter().copied().collect()
-    }
-
-    /// Events currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Is the ring empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted over the ring's lifetime.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The ring's fixed capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 /// Occupancy of one per-thread ring (for the engine gauges).
@@ -294,21 +262,21 @@ pub struct RingStats {
 
 /// A scope's capture state: one [`SpanRing`] per recording thread.
 #[derive(Debug, Default)]
-pub struct EventBuffer {
+pub(crate) struct EventBuffer {
     rings: BTreeMap<u64, SpanRing>,
 }
 
 impl EventBuffer {
     /// Append `event` to its thread's ring (created at the configured
     /// capacity on first use). Returns how many events were evicted.
-    pub fn push(&mut self, event: SpanEvent) -> u64 {
+    pub(crate) fn push(&mut self, event: SpanEvent) -> u64 {
         self.rings.entry(event.tid).or_insert_with(|| SpanRing::new(ring_capacity())).push(event)
     }
 
     /// Drain `other` into `self`, ring by ring (per-thread order is
     /// preserved; rings at capacity evict their oldest events). Returns
     /// how many events were evicted during the fold.
-    pub fn merge(&mut self, other: &mut EventBuffer) -> u64 {
+    pub(crate) fn merge(&mut self, other: &mut EventBuffer) -> u64 {
         let mut evicted = 0;
         for (tid, mut ring) in std::mem::take(&mut other.rings) {
             let into = self.rings.entry(tid).or_insert_with(|| SpanRing::new(ring_capacity()));
@@ -322,7 +290,7 @@ impl EventBuffer {
 
     /// Every held event, across all rings, in timestamp order.
     #[must_use]
-    pub fn events(&self) -> Vec<SpanEvent> {
+    pub(crate) fn events(&self) -> Vec<SpanEvent> {
         let mut all: Vec<SpanEvent> =
             self.rings.values().flat_map(|r| r.events.iter().copied()).collect();
         all.sort_by_key(|e| (e.ts_ns, e.tid, e.span_id));
@@ -331,41 +299,29 @@ impl EventBuffer {
 
     /// Drain every held event, in timestamp order (rings stay allocated,
     /// eviction counts are kept).
-    pub fn take_events(&mut self) -> Vec<SpanEvent> {
+    pub(crate) fn take_events(&mut self) -> Vec<SpanEvent> {
         let mut all: Vec<SpanEvent> =
             self.rings.values_mut().flat_map(|r| r.events.drain(..)).collect();
         all.sort_by_key(|e| (e.ts_ns, e.tid, e.span_id));
         all
     }
 
-    /// Total events currently held across all rings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rings.values().map(SpanRing::len).sum()
-    }
-
     /// Is the buffer empty?
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rings.values().all(SpanRing::is_empty)
-    }
-
-    /// Events evicted across all rings over the buffer's lifetime.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.rings.values().map(SpanRing::dropped).sum()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rings.values().all(|r| r.events.is_empty())
     }
 
     /// Per-ring occupancy rows, in thread-id order.
     #[must_use]
-    pub fn ring_stats(&self) -> Vec<RingStats> {
+    pub(crate) fn ring_stats(&self) -> Vec<RingStats> {
         self.rings
             .iter()
             .map(|(&tid, r)| RingStats {
                 tid,
-                len: r.len(),
-                capacity: r.capacity(),
-                dropped: r.dropped(),
+                len: r.events.len(),
+                capacity: r.capacity,
+                dropped: r.dropped,
             })
             .collect()
     }
@@ -379,13 +335,9 @@ pub(crate) fn root_buffer() -> &'static Mutex<EventBuffer> {
     &ROOT
 }
 
-/// Events currently held by the process-root buffer, in timestamp order.
-#[must_use]
-pub fn root_events() -> Vec<SpanEvent> {
-    ROOT.lock().expect("recorder root poisoned").events()
-}
-
-/// Drain the process-root buffer (benchmark-harness boundaries only).
+/// Drain the process-root buffer: the events captured outside any scope
+/// plus those of every top-level scope that already dropped, in
+/// timestamp order (what `repro --trace` dumps).
 pub fn take_root_events() -> Vec<SpanEvent> {
     ROOT.lock().expect("recorder root poisoned").take_events()
 }
@@ -573,9 +525,9 @@ mod tests {
             });
             assert_eq!(evicted, u64::from(i >= 16));
         }
-        assert_eq!(ring.len(), 16);
-        assert_eq!(ring.dropped(), 4);
-        let ids: Vec<u64> = ring.events().iter().map(|e| e.span_id).collect();
+        assert_eq!(ring.events.len(), 16);
+        assert_eq!(ring.dropped, 4);
+        let ids: Vec<u64> = ring.events.iter().map(|e| e.span_id).collect();
         assert_eq!(ids.first(), Some(&5), "oldest events are evicted first");
         assert_eq!(ids.last(), Some(&20));
     }
@@ -590,7 +542,7 @@ mod tests {
         parent.push(SpanEvent { label: 0, cat: 0, span_id: 99, tid: 7, ts_ns: 100, dur_ns: 0 });
         let evicted = parent.merge(&mut child);
         assert_eq!(evicted, 0);
-        assert_eq!(parent.len(), 11);
+        assert_eq!(parent.events().len(), 11);
         assert!(child.is_empty());
         // Ring order within a tid is push order; `events()` sorts by ts.
         assert_eq!(parent.events().last().map(|e| e.span_id), Some(99));
@@ -613,6 +565,32 @@ mod tests {
         let hits = (0..30).filter(|_| sample()).count();
         set_config(RecorderConfig::Off);
         assert_eq!(hits, 10, "1-in-3 sampling over 30 draws");
+    }
+
+    #[test]
+    fn top_level_scopes_hand_their_events_to_the_root_buffer() {
+        let _serial = CONFIG_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        set_config(RecorderConfig::Always);
+        let names = |events: Vec<SpanEvent>| -> Vec<&str> {
+            events.iter().map(|e| resolve_label(e.label)).collect()
+        };
+        let parent = crate::MetricsScope::enter("recorder.test.parent");
+        {
+            let _child = crate::MetricsScope::enter("recorder.test.child");
+            let _span = crate::span("recorder.test.nested", "op");
+        }
+        let in_parent = names(parent.handle().recorded_events());
+        let in_root = names(take_root_events());
+        {
+            let _span = crate::span("recorder.test.top", "op");
+        }
+        drop(parent);
+        let after_drop = names(take_root_events());
+        set_config(RecorderConfig::Off);
+        assert!(in_parent.contains(&"recorder.test.nested"), "child folds into its parent");
+        assert!(!in_root.contains(&"recorder.test.nested"), "an open parent keeps its events");
+        assert!(after_drop.contains(&"recorder.test.top"), "top-level events reach the root");
+        assert!(after_drop.contains(&"recorder.test.nested"));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! complementary shape — scopes that **outlive** any single query (one
 //! per tenant, per connection pool, per background job), registered once
 //! and snapshotted on demand. A [`TelemetryRegistry`] holds such scopes
-//! by name ([`ScopeHandle::detached`] under the hood: never installed
-//! globally, never merged on drop), plus per-scope **gauges** — sampled
+//! by name (detached scope handles: never installed globally, never
+//! merged on drop), plus per-scope **gauges** — sampled
 //! point-in-time values like interner occupancy or relation cardinality
 //! that counters cannot express.
 //!
@@ -17,19 +17,12 @@
 //! the [`crate::expose`] module renders as Prometheus-style text or
 //! JSON.
 //!
-//! The registry is also the operator's control point for the runtime
-//! diagnostics: [`TelemetryRegistry::set_recorder`] switches the flight
-//! recorder's capture mode, [`TelemetryRegistry::set_slo_rules`] arms
-//! the SLO watchdog, and — since registered scopes are long-lived and
-//! never drop — [`TelemetryRegistry::check_slos`] runs the same
-//! breach-and-dump check a [`MetricsScope`](crate::MetricsScope) gets
-//! automatically at drop. Recorder mode, rules and breach history are
-//! process-global (shared with every other registry and scope), matching
-//! the process-global scope root.
+//! A registry holds only scopes and gauges. The flight recorder's mode
+//! ([`crate::recorder::set_config`]) and the SLO watchdog's rules and
+//! breach list ([`crate::watchdog`]) are process-global and are set
+//! there.
 
-use crate::recorder::{self, RecorderConfig};
 use crate::scope::{MetricsSnapshot, ScopeHandle};
-use crate::watchdog::{self, SloBreach, SloRule};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -37,6 +30,16 @@ use std::sync::Mutex;
 struct Entry {
     handle: ScopeHandle,
     gauges: BTreeMap<String, u64>,
+}
+
+impl Entry {
+    fn reading(&self, name: &str) -> ScopeReading {
+        ScopeReading {
+            name: name.to_string(),
+            metrics: self.handle.snapshot(),
+            gauges: self.gauges.clone(),
+        }
+    }
 }
 
 /// A registry of named, long-lived telemetry scopes with
@@ -57,15 +60,15 @@ impl TelemetryRegistry {
     /// first use. Registering is idempotent: the same name always maps
     /// to the same underlying scope.
     pub fn register(&self, name: &str) -> ScopeHandle {
+        self.with_entry(name, |entry| entry.handle.clone())
+    }
+
+    fn with_entry<R>(&self, name: &str, f: impl FnOnce(&mut Entry) -> R) -> R {
         let mut entries = self.entries.lock().expect("registry poisoned");
-        entries
-            .entry(name.to_string())
-            .or_insert_with(|| Entry {
-                handle: ScopeHandle::detached(name),
-                gauges: BTreeMap::new(),
-            })
-            .handle
-            .clone()
+        f(entries.entry(name.to_string()).or_insert_with(|| Entry {
+            handle: ScopeHandle::detached(name),
+            gauges: BTreeMap::new(),
+        }))
     }
 
     /// The registered scope names, sorted.
@@ -78,85 +81,20 @@ impl TelemetryRegistry {
     /// if needed. Gauges are point-in-time values — the caller re-samples
     /// and re-sets them; the registry never accumulates them.
     pub fn set_gauge(&self, scope: &str, gauge: &str, value: u64) {
-        let mut entries = self.entries.lock().expect("registry poisoned");
-        let entry = entries.entry(scope.to_string()).or_insert_with(|| Entry {
-            handle: ScopeHandle::detached(scope),
-            gauges: BTreeMap::new(),
-        });
-        entry.gauges.insert(gauge.to_string(), value);
+        self.with_entry(scope, |entry| entry.gauges.insert(gauge.to_string(), value));
     }
 
     /// Snapshot one scope (`None` if unregistered).
     #[must_use]
     pub fn snapshot_scope(&self, name: &str) -> Option<ScopeReading> {
-        let entries = self.entries.lock().expect("registry poisoned");
-        entries.get(name).map(|e| ScopeReading {
-            name: name.to_string(),
-            metrics: e.handle.snapshot(),
-            gauges: e.gauges.clone(),
-        })
+        self.entries.lock().expect("registry poisoned").get(name).map(|e| e.reading(name))
     }
 
     /// Snapshot every registered scope, in name order.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let entries = self.entries.lock().expect("registry poisoned");
-        TelemetrySnapshot {
-            scopes: entries
-                .iter()
-                .map(|(name, e)| ScopeReading {
-                    name: name.clone(),
-                    metrics: e.handle.snapshot(),
-                    gauges: e.gauges.clone(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Switch the (process-global) flight recorder's capture mode.
-    pub fn set_recorder(&self, config: RecorderConfig) {
-        recorder::set_config(config);
-    }
-
-    /// The flight recorder's current capture mode.
-    #[must_use]
-    pub fn recorder_config(&self) -> RecorderConfig {
-        recorder::config()
-    }
-
-    /// Arm the (process-global) SLO watchdog with `rules`; an empty set
-    /// disarms it. Rules are checked automatically when any
-    /// [`MetricsScope`](crate::MetricsScope) drops, and on demand for
-    /// this registry's long-lived scopes via
-    /// [`TelemetryRegistry::check_slos`].
-    pub fn set_slo_rules(&self, rules: Vec<SloRule>) {
-        watchdog::set_rules(rules);
-    }
-
-    /// Check every registered scope against the armed SLO rules now
-    /// (long-lived scopes never drop, so they never hit the automatic
-    /// at-drop check). A breach freezes and dumps the offending scope's
-    /// recorder rings exactly as a scope drop would. Returns the
-    /// breaches found in this pass.
-    pub fn check_slos(&self) -> Vec<SloBreach> {
-        if !watchdog::armed() {
-            return Vec::new();
-        }
-        let entries = self.entries.lock().expect("registry poisoned");
-        let mut found = Vec::new();
-        for (name, entry) in entries.iter() {
-            let snap = entry.handle.snapshot();
-            let handle = &entry.handle;
-            found.extend(watchdog::check(name, &snap, || handle.take_events()));
-        }
-        found
-    }
-
-    /// Drain the process-wide SLO breach history (scope-drop breaches
-    /// included).
-    #[must_use]
-    pub fn take_breaches(&self) -> Vec<SloBreach> {
-        watchdog::take_breaches()
+        TelemetrySnapshot { scopes: entries.iter().map(|(name, e)| e.reading(name)).collect() }
     }
 }
 

@@ -9,8 +9,9 @@
 //! [`crate::MetricsScope`]), and the scope's counter totals.
 //!
 //! Renderable as a text table ([`EvalReport::render_text`]) and as JSON
-//! ([`EvalReport::to_json`] / [`EvalReport::from_json`] round-trip, used
-//! by `repro --trace e13 --json` and the CI smoke check).
+//! ([`EvalReport::to_json`], emitted by `repro --trace e13 --json`). The
+//! JSON is write-only: nothing parses it back into these types, and
+//! `repro --selfcheck` checks its structure instead.
 
 use crate::histogram::Histogram;
 use crate::json::Json;
@@ -68,30 +69,6 @@ impl RoundStats {
             .field("multiway_survivors", self.multiway_survivors)
             .field("wall_ns", self.wall_ns)
     }
-
-    fn from_json(v: &Json) -> Result<RoundStats, String> {
-        let get = |key: &str| {
-            v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("round missing \"{key}\""))
-        };
-        // Fields introduced after the first snapshot format default to 0
-        // so older committed reports still parse.
-        let opt = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
-        Ok(RoundStats {
-            round: get("round")?,
-            produced: get("produced")?,
-            delta: get("delta")?,
-            subsumed: get("subsumed")?,
-            entailment_checks: get("entailment_checks")?,
-            qe_calls: get("qe_calls")?,
-            qe_ns: get("qe_ns")?,
-            prune_candidates: get("prune_candidates")?,
-            prune_survivors: get("prune_survivors")?,
-            qe_cache_hits: get("qe_cache_hits")?,
-            multiway_probes: opt("multiway_probes"),
-            multiway_survivors: opt("multiway_survivors"),
-            wall_ns: get("wall_ns")?,
-        })
-    }
 }
 
 /// Per-rule multiway join-plan telemetry: the variable elimination order
@@ -122,30 +99,6 @@ impl PlanStats {
             .field("probes", self.probes)
             .field("survivors", self.survivors)
     }
-
-    /// Parse one `plans` entry.
-    ///
-    /// # Errors
-    /// Describes the missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<PlanStats, String> {
-        let get = |key: &str| {
-            v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("plan missing \"{key}\""))
-        };
-        let var_order = v
-            .get("var_order")
-            .and_then(Json::as_arr)
-            .ok_or("plan missing \"var_order\"")?
-            .iter()
-            .map(|j| j.as_u64().ok_or_else(|| "plan var_order entry not a number".to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PlanStats {
-            rule: v.get("rule").and_then(Json::as_str).ok_or("plan missing \"rule\"")?.to_string(),
-            var_order,
-            atoms: get("atoms")?,
-            probes: get("probes")?,
-            survivors: get("survivors")?,
-        })
-    }
 }
 
 /// Telemetry for one incremental view update (`MaterializedView::insert`
@@ -172,7 +125,7 @@ pub struct UpdateStats {
 }
 
 impl UpdateStats {
-    /// Render as a JSON object (one entry of the report's `updates` array).
+    /// Render as a JSON object (one entry of `repro e18`'s `updates` datum).
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj()
@@ -184,94 +137,6 @@ impl UpdateStats {
             .field("qe_calls", self.qe_calls)
             .field("entailment_checks", self.entailment_checks)
             .field("wall_ns", self.wall_ns)
-    }
-
-    /// Parse one `updates` entry.
-    ///
-    /// # Errors
-    /// Describes the missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<UpdateStats, String> {
-        let get = |key: &str| {
-            v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("update missing \"{key}\""))
-        };
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("update missing \"{key}\""))
-        };
-        Ok(UpdateStats {
-            op: text("op")?,
-            relation: text("relation")?,
-            delta_rounds: get("delta_rounds")?,
-            rederivations: get("rederivations")?,
-            support_adjust: get("support_adjust")?,
-            qe_calls: get("qe_calls")?,
-            entailment_checks: get("entailment_checks")?,
-            wall_ns: get("wall_ns")?,
-        })
-    }
-}
-
-/// One SLO watchdog anomaly: a declared latency objective the evaluation
-/// breached (see [`crate::watchdog`]). The breach froze the scope's
-/// flight-recorder rings; `dump_path` names the chrome-trace file they
-/// were dumped to (empty when no dump directory was configured).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AnomalyStats {
-    /// Scope whose histogram breached the objective.
-    pub scope: String,
-    /// Histogram the rule watches (e.g. `"view_update_ns"`).
-    pub hist: String,
-    /// Watched quantile in `(0, 1]` (0.99 for p99).
-    pub quantile: f64,
-    /// Observed quantile value, nanoseconds.
-    pub observed_ns: u64,
-    /// Declared bound, nanoseconds.
-    pub threshold_ns: u64,
-    /// Chrome-trace dump of the frozen rings; empty when none was written.
-    pub dump_path: String,
-}
-
-impl AnomalyStats {
-    /// Render as a JSON object (one entry of the report's `anomalies`
-    /// array).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("scope", self.scope.as_str())
-            .field("hist", self.hist.as_str())
-            .field("quantile", self.quantile)
-            .field("observed_ns", self.observed_ns)
-            .field("threshold_ns", self.threshold_ns)
-            .field("dump_path", self.dump_path.as_str())
-    }
-
-    /// Parse one `anomalies` entry.
-    ///
-    /// # Errors
-    /// Describes the missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<AnomalyStats, String> {
-        let get = |key: &str| {
-            v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("anomaly missing \"{key}\""))
-        };
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("anomaly missing \"{key}\""))
-        };
-        Ok(AnomalyStats {
-            scope: text("scope")?,
-            hist: text("hist")?,
-            quantile: v
-                .get("quantile")
-                .and_then(Json::as_num)
-                .ok_or("anomaly missing \"quantile\"")?,
-            observed_ns: get("observed_ns")?,
-            threshold_ns: get("threshold_ns")?,
-            dump_path: text("dump_path")?,
-        })
     }
 }
 
@@ -300,12 +165,6 @@ pub struct EvalReport {
     /// Per-rule multiway join plans (empty when the multiway path was
     /// off or no rule had ≥2 relational body atoms).
     pub plans: Vec<PlanStats>,
-    /// Per-update incremental maintenance telemetry (empty for batch
-    /// evaluations).
-    pub updates: Vec<UpdateStats>,
-    /// SLO watchdog breaches observed during the evaluation (empty when
-    /// no rule was armed or none tripped).
-    pub anomalies: Vec<AnomalyStats>,
     /// Per-operator inclusive timings.
     pub operators: Vec<OperatorStats>,
     /// Latency/fanout distributions recorded under the evaluation's
@@ -354,8 +213,6 @@ impl EvalReport {
             threads: threads as u64,
             rounds,
             plans: Vec::new(),
-            updates: Vec::new(),
-            anomalies: Vec::new(),
             operators,
             hists,
             gauges: Vec::new(),
@@ -372,21 +229,6 @@ impl EvalReport {
         self
     }
 
-    /// This report with per-update maintenance telemetry attached.
-    #[must_use]
-    pub fn with_updates(mut self, updates: Vec<UpdateStats>) -> EvalReport {
-        self.updates = updates;
-        self
-    }
-
-    /// This report with SLO watchdog breaches attached (typically built
-    /// from drained [`crate::watchdog::take_breaches`] rows).
-    #[must_use]
-    pub fn with_anomalies(mut self, anomalies: Vec<AnomalyStats>) -> EvalReport {
-        self.anomalies = anomalies;
-        self
-    }
-
     /// This report with sampled occupancy/cardinality gauges attached
     /// (interner entries/bytes, QE-cache occupancy, relation sizes).
     #[must_use]
@@ -395,22 +237,9 @@ impl EvalReport {
         self
     }
 
-    /// One recorded histogram by name, if present.
-    #[must_use]
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
-    /// One gauge by name, if present.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
     /// How effective subsumption was: rejected / produced, in `[0, 1]`.
-    #[must_use]
     #[allow(clippy::cast_precision_loss)]
-    pub fn subsumption_effectiveness(&self) -> f64 {
+    fn subsumption_effectiveness(&self) -> f64 {
         let produced: u64 = self.rounds.iter().map(|r| r.produced).sum();
         let subsumed: u64 = self.rounds.iter().map(|r| r.subsumed).sum();
         if produced == 0 {
@@ -441,11 +270,6 @@ impl EvalReport {
             .field("threads", self.threads)
             .field("rounds", Json::Arr(self.rounds.iter().map(RoundStats::to_json).collect()))
             .field("plans", Json::Arr(self.plans.iter().map(PlanStats::to_json).collect()))
-            .field("updates", Json::Arr(self.updates.iter().map(UpdateStats::to_json).collect()))
-            .field(
-                "anomalies",
-                Json::Arr(self.anomalies.iter().map(AnomalyStats::to_json).collect()),
-            )
             .field(
                 "operators",
                 Json::Arr(
@@ -466,113 +290,6 @@ impl EvalReport {
             .field("result_tuples", self.result_tuples)
             .field("wall_ns", self.wall_ns)
             .field("subsumption_effectiveness", self.subsumption_effectiveness())
-    }
-
-    /// Parse a report back from its JSON form.
-    ///
-    /// # Errors
-    /// A message naming the first missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<EvalReport, String> {
-        let str_field = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("report missing \"{key}\""))
-        };
-        let num_field = |key: &str| {
-            v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("report missing \"{key}\""))
-        };
-        let rounds = v
-            .get("rounds")
-            .and_then(Json::as_arr)
-            .ok_or("report missing \"rounds\"")?
-            .iter()
-            .map(RoundStats::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        // Reports written before join-plan telemetry have no "plans" key.
-        let plans = match v.get("plans").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(PlanStats::from_json).collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        // Reports written before incremental maintenance have no "updates".
-        let updates = match v.get("updates").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(UpdateStats::from_json).collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        // Reports written before the SLO watchdog have no "anomalies".
-        let anomalies = match v.get("anomalies").and_then(Json::as_arr) {
-            Some(arr) => arr.iter().map(AnomalyStats::from_json).collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        let operators = v
-            .get("operators")
-            .and_then(Json::as_arr)
-            .ok_or("report missing \"operators\"")?
-            .iter()
-            .map(|op| {
-                Ok::<_, String>(OperatorStats {
-                    name: op
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("operator missing \"name\"")?
-                        .to_string(),
-                    calls: op.get("calls").and_then(Json::as_u64).ok_or("operator calls")?,
-                    nanos: op.get("nanos").and_then(Json::as_u64).ok_or("operator nanos")?,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        // Reports written before the telemetry runtime have neither
-        // "histograms" nor "gauges".
-        let hists = match v.get("histograms") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(name, h)| {
-                    Histogram::from_json(h)
-                        .map(|h| (name.clone(), h))
-                        .map_err(|e| format!("histogram \"{name}\": {e}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => Vec::new(),
-        };
-        let gauges = match v.get("gauges") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(name, value)| {
-                    value
-                        .as_u64()
-                        .map(|n| (name.clone(), n))
-                        .ok_or_else(|| format!("gauge \"{name}\" not a number"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => Vec::new(),
-        };
-        let totals = match v.get("totals") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(name, value)| {
-                    value
-                        .as_u64()
-                        .map(|n| (name.clone(), n))
-                        .ok_or_else(|| format!("total \"{name}\" not a number"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("report missing \"totals\"".into()),
-        };
-        Ok(EvalReport {
-            query: str_field("query")?,
-            theory: str_field("theory")?,
-            threads: num_field("threads")?,
-            rounds,
-            plans,
-            updates,
-            anomalies,
-            operators,
-            hists,
-            gauges,
-            totals,
-            result_tuples: num_field("result_tuples")?,
-            wall_ns: num_field("wall_ns")?,
-        })
     }
 
     /// Render as a fixed-width text table (the `EXPLAIN` view).
@@ -638,45 +355,6 @@ impl EvalReport {
                 ));
             }
         }
-        if !self.updates.is_empty() {
-            out.push_str("incremental updates:\n");
-            out.push_str(&format!(
-                "  {:>8} {:>12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-                "op", "relation", "rounds", "rederive", "support", "qe calls", "entails", "wall"
-            ));
-            for u in &self.updates {
-                out.push_str(&format!(
-                    "  {:>8} {:>12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-                    u.op,
-                    u.relation,
-                    u.delta_rounds,
-                    u.rederivations,
-                    u.support_adjust,
-                    u.qe_calls,
-                    u.entailment_checks,
-                    ms(u.wall_ns)
-                ));
-            }
-        }
-        if !self.anomalies.is_empty() {
-            out.push_str("SLO anomalies:\n");
-            for a in &self.anomalies {
-                let dump = if a.dump_path.is_empty() {
-                    String::new()
-                } else {
-                    format!(" dump={}", a.dump_path)
-                };
-                out.push_str(&format!(
-                    "  {} {} p{} = {} > {}{}\n",
-                    a.scope,
-                    a.hist,
-                    a.quantile * 100.0,
-                    ms(a.observed_ns),
-                    ms(a.threshold_ns),
-                    dump
-                ));
-            }
-        }
         if !self.operators.is_empty() {
             out.push_str(&format!("{:>24} {:>10} {:>12}\n", "operator", "calls", "incl time"));
             for op in &self.operators {
@@ -730,7 +408,6 @@ impl EvalReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn sample() -> EvalReport {
         EvalReport {
@@ -776,24 +453,6 @@ mod tests {
                 probes: 512,
                 survivors: 96,
             }],
-            updates: vec![UpdateStats {
-                op: "retract".into(),
-                relation: "E".into(),
-                delta_rounds: 3,
-                rederivations: 2,
-                support_adjust: 17,
-                qe_calls: 9,
-                entailment_checks: 21,
-                wall_ns: 150_000,
-            }],
-            anomalies: vec![AnomalyStats {
-                scope: "view-maint".into(),
-                hist: "view_update_ns".into(),
-                quantile: 0.99,
-                observed_ns: 4_100_000,
-                threshold_ns: 2_000_000,
-                dump_path: "target/slo-view-maint-view_update_ns-0.json".into(),
-            }],
             operators: vec![OperatorStats { name: "qe.dense".into(), calls: 63, nanos: 400_000 }],
             hists: vec![("qe_call_ns".into(), {
                 let mut h = Histogram::new();
@@ -807,14 +466,6 @@ mod tests {
             result_tuples: 127,
             wall_ns: 3_500_000,
         }
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let report = sample();
-        let text = report.to_json().pretty();
-        let back = EvalReport::from_json(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
     }
 
     #[test]
@@ -835,88 +486,10 @@ mod tests {
     }
 
     #[test]
-    fn text_render_shows_update_rows() {
-        let text = sample().render_text();
-        assert!(text.contains("incremental updates:"));
-        assert!(text.contains("retract"));
-    }
-
-    #[test]
     fn text_render_shows_histograms_and_gauges() {
         let text = sample().render_text();
         assert!(text.contains("histogram"));
         assert!(text.contains("qe_call_ns"));
         assert!(text.contains("gauges: interner_entries=512, interner_bytes=65536"));
-    }
-
-    #[test]
-    fn telemetry_free_json_still_parses() {
-        // Reports written before the telemetry runtime: no "histograms"
-        // or "gauges" keys.
-        let mut report = sample();
-        report.hists.clear();
-        report.gauges.clear();
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields.retain(|(name, _)| name != "histograms" && name != "gauges");
-        }
-        let text = json.pretty();
-        let back = EvalReport::from_json(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn update_free_json_still_parses() {
-        // Reports written before incremental maintenance: no "updates" key.
-        let mut report = sample();
-        report.updates.clear();
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields.retain(|(name, _)| name != "updates");
-        }
-        let text = json.pretty();
-        let back = EvalReport::from_json(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn text_render_shows_anomalies() {
-        let text = sample().render_text();
-        assert!(text.contains("SLO anomalies:"));
-        assert!(text.contains("view_update_ns p99"));
-        assert!(text.contains("dump=target/slo-view-maint-view_update_ns-0.json"));
-    }
-
-    #[test]
-    fn anomaly_free_json_still_parses() {
-        // Reports written before the SLO watchdog: no "anomalies" key.
-        let mut report = sample();
-        report.anomalies.clear();
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields.retain(|(name, _)| name != "anomalies");
-        }
-        let text = json.pretty();
-        let back = EvalReport::from_json(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn plan_free_json_still_parses() {
-        // Reports written before join-plan telemetry: no "plans" key, no
-        // multiway round fields.
-        let mut report = sample();
-        report.plans.clear();
-        for r in &mut report.rounds {
-            r.multiway_probes = 0;
-            r.multiway_survivors = 0;
-        }
-        let mut json = report.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields.retain(|(name, _)| name != "plans");
-        }
-        let text = json.pretty();
-        let back = EvalReport::from_json(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
     }
 }

@@ -14,13 +14,17 @@
 //!   so counts from parallel batches land in the *same* shared counter
 //!   set and totals are exact at any `CQL_ENGINE_THREADS`;
 //! * **merge-on-drop** — when a scope closes, its totals fold into the
-//!   enclosing scope (or the process root when there is none), so outer
-//!   scopes always end up with the sum over their children and the
-//!   legacy process-wide totals remain available via [`root_snapshot`].
+//!   enclosing scope, so outer scopes always end up with the sum over
+//!   their children. A top-level scope folds into nothing: its owner
+//!   reads it through [`MetricsScope::snapshot`] before it drops. There
+//!   is no process-wide total.
 //!
 //! Counting sites call [`count`] (a thread-local lookup plus one relaxed
-//! `fetch_add`) and [`op_timed`] (which skips the clock entirely when no
-//! scope is installed and the flight recorder is off).
+//! `fetch_add`), [`record_hist`] and [`op_timed`]. With no scope
+//! installed, the first two are no-ops and [`op_timed`] skips the clock
+//! unless the flight recorder is on. Only recorder events outlive a
+//! top-level scope: they move to the process-root buffer that
+//! [`recorder::take_root_events`] drains.
 
 use crate::histogram::Histogram;
 use crate::recorder::{self, EventBuffer, RingStats, SpanEvent};
@@ -117,7 +121,7 @@ pub enum Counter {
 const N_COUNTERS: usize = 23;
 
 /// All [`Counter`] variants, in order (for generic reporting loops).
-pub const COUNTERS: [Counter; N_COUNTERS] = [
+pub(crate) const COUNTERS: [Counter; N_COUNTERS] = [
     Counter::EntailmentChecks,
     Counter::SignatureSkips,
     Counter::SampleSkips,
@@ -186,16 +190,6 @@ impl CounterSet {
             self.cells[counter as usize].fetch_add(n, Ordering::Relaxed);
         }
     }
-
-    fn load(&self, counter: Counter) -> u64 {
-        self.cells[counter as usize].load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        for cell in &self.cells {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Aggregated timing for one named operator.
@@ -207,7 +201,7 @@ pub struct OpAgg {
     pub nanos: u64,
 }
 
-/// An immutable snapshot of a scope's (or the root's) totals.
+/// An immutable snapshot of a scope's totals.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: [u64; N_COUNTERS],
@@ -259,9 +253,9 @@ impl MetricsSnapshot {
         MetricsSnapshot { counters, ops, hists }
     }
 
-    /// Render counters and operator timings as `(name, value)` rows.
+    /// Render the counters as `(name, value)` rows.
     #[must_use]
-    pub fn rows(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn rows(&self) -> Vec<(&'static str, u64)> {
         COUNTERS.iter().map(|&c| (c.name(), self.get(c))).collect()
     }
 }
@@ -338,9 +332,6 @@ pub(crate) fn sink_event(event: SpanEvent) {
     } else {
         let evicted = recorder::root_buffer().lock().expect("recorder root poisoned").push(event);
         recorder::note_recorded(evicted);
-        if evicted > 0 {
-            ROOT.add(Counter::RecorderDropped, evicted);
-        }
     }
 }
 
@@ -357,7 +348,7 @@ impl ScopeHandle {
     /// [`TelemetryRegistry`](crate::TelemetryRegistry) pins per tenant.
     /// Threads participate by calling [`ScopeHandle::install`].
     #[must_use]
-    pub fn detached(name: &str) -> ScopeHandle {
+    pub(crate) fn detached(name: &str) -> ScopeHandle {
         ScopeHandle { inner: Arc::new(ScopeInner::new(name)) }
     }
 
@@ -368,12 +359,6 @@ impl ScopeHandle {
     pub fn install(&self) -> InstallGuard {
         STACK.with(|stack| stack.borrow_mut().push(self.clone()));
         InstallGuard { inner: Arc::clone(&self.inner) }
-    }
-
-    /// The scope's name.
-    #[must_use]
-    pub fn name(&self) -> String {
-        self.inner.name.clone()
     }
 
     /// Snapshot this scope's totals so far (own counts plus every child
@@ -438,7 +423,7 @@ impl MetricsScope {
     #[must_use]
     pub fn enter(name: &str) -> MetricsScope {
         let parent = current_handle();
-        let handle = ScopeHandle { inner: Arc::new(ScopeInner::new(name)) };
+        let handle = ScopeHandle::detached(name);
         let installed = handle.install();
         MetricsScope { handle, parent, _installed: installed }
     }
@@ -447,12 +432,6 @@ impl MetricsScope {
     #[must_use]
     pub fn handle(&self) -> ScopeHandle {
         self.handle.clone()
-    }
-
-    /// The scope's name.
-    #[must_use]
-    pub fn name(&self) -> String {
-        self.handle.name()
     }
 
     /// Totals recorded under this scope so far.
@@ -464,76 +443,49 @@ impl MetricsScope {
 
 impl Drop for MetricsScope {
     fn drop(&mut self) {
-        // Fold this scope's totals into the enclosing scope, or the
-        // process root when the stack is empty — so ancestors (and the
-        // legacy process-wide view) see the sum over completed children.
-        let snap = self.handle.snapshot();
+        let inner = &self.handle.inner;
         // SLO watchdog first: a breach freezes this scope's recorder
         // rings (draining them into the dump instead of the fold below).
         if watchdog::armed() {
-            let handle = &self.handle;
-            watchdog::check(&self.handle.inner.name, &snap, || handle.take_events());
+            watchdog::check(&inner.name, &inner.snapshot(), || self.handle.take_events());
         }
-        let mut events =
-            std::mem::take(&mut *self.handle.inner.events.lock().expect("scope events poisoned"));
-        match &self.parent {
-            Some(parent) => {
-                for &c in &COUNTERS {
-                    parent.inner.counters.add(c, snap.get(c));
-                }
-                let mut ops = parent.inner.ops.lock().expect("scope ops poisoned");
-                for (name, agg) in &snap.ops {
-                    let slot = ops.entry(name).or_default();
-                    slot.calls += agg.calls;
-                    slot.nanos += agg.nanos;
-                }
-                drop(ops);
-                let mut hists = parent.inner.hists.lock().expect("scope hists poisoned");
-                for (name, hist) in &snap.hists {
-                    hists.entry(name).or_default().merge(hist);
-                }
-                drop(hists);
-                let evicted =
-                    parent.inner.events.lock().expect("scope events poisoned").merge(&mut events);
-                recorder::note_merge_dropped(evicted);
-                parent.inner.counters.add(Counter::RecorderDropped, evicted);
+        let mut events = std::mem::take(&mut *inner.events.lock().expect("scope events poisoned"));
+        let Some(parent) = &self.parent else {
+            // A top-level scope's totals were read through `snapshot`;
+            // only its recorder events outlive it, for `take_root_events`.
+            if !events.is_empty() {
+                let mut root = recorder::root_buffer().lock().expect("recorder root poisoned");
+                recorder::note_merge_dropped(root.merge(&mut events));
             }
-            None => {
-                for &c in &COUNTERS {
-                    ROOT.add(c, snap.get(c));
-                }
-                let mut ops = ROOT_OPS.lock().expect("root ops poisoned");
-                for (name, agg) in &snap.ops {
-                    let slot = ops.entry(name).or_default();
-                    slot.calls += agg.calls;
-                    slot.nanos += agg.nanos;
-                }
-                drop(ops);
-                let mut hists = ROOT_HISTS.lock().expect("root hists poisoned");
-                for (name, hist) in &snap.hists {
-                    hists.entry(name).or_default().merge(hist);
-                }
-                drop(hists);
-                let evicted = recorder::root_buffer()
-                    .lock()
-                    .expect("recorder root poisoned")
-                    .merge(&mut events);
-                recorder::note_merge_dropped(evicted);
-                ROOT.add(Counter::RecorderDropped, evicted);
-            }
+            return;
+        };
+        // Fold into the enclosing scope, so ancestors see the sum over
+        // their completed children.
+        let snap = inner.snapshot();
+        for &c in &COUNTERS {
+            parent.inner.counters.add(c, snap.get(c));
         }
+        let mut ops = parent.inner.ops.lock().expect("scope ops poisoned");
+        for (name, agg) in &snap.ops {
+            let slot = ops.entry(name).or_default();
+            slot.calls += agg.calls;
+            slot.nanos += agg.nanos;
+        }
+        drop(ops);
+        let mut hists = parent.inner.hists.lock().expect("scope hists poisoned");
+        for (name, hist) in &snap.hists {
+            hists.entry(name).or_default().merge(hist);
+        }
+        drop(hists);
+        let evicted = parent.inner.events.lock().expect("scope events poisoned").merge(&mut events);
+        recorder::note_merge_dropped(evicted);
+        parent.inner.counters.add(Counter::RecorderDropped, evicted);
     }
 }
 
 thread_local! {
     static STACK: RefCell<Vec<ScopeHandle>> = const { RefCell::new(Vec::new()) };
 }
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_CELL: AtomicU64 = AtomicU64::new(0);
-static ROOT: CounterSet = CounterSet { cells: [ZERO_CELL; N_COUNTERS] };
-static ROOT_OPS: Mutex<BTreeMap<&'static str, OpAgg>> = Mutex::new(BTreeMap::new());
-static ROOT_HISTS: Mutex<BTreeMap<&'static str, Histogram>> = Mutex::new(BTreeMap::new());
 
 /// The current thread's innermost scope, if any.
 #[must_use]
@@ -542,24 +494,22 @@ pub fn current_handle() -> Option<ScopeHandle> {
 }
 
 /// Increment a counter by `n` in the innermost scope of the calling
-/// thread, or in the process root when no scope is installed.
+/// thread. With no scope installed this is a no-op (one thread-local
+/// read), like [`record_hist`].
 pub fn count(counter: Counter, n: u64) {
-    if n == 0 {
-        return;
-    }
-    let in_scope = STACK
-        .with(|stack| stack.borrow().last().map(|h| h.inner.counters.add(counter, n)).is_some());
-    if !in_scope {
-        ROOT.add(counter, n);
-    }
+    STACK.with(|stack| {
+        if let Some(handle) = stack.borrow().last() {
+            handle.inner.counters.add(counter, n);
+        }
+    });
 }
 
 /// Record one sample into the named histogram of the calling thread's
 /// innermost scope. **Scope-only**: with no scope installed this is a
 /// no-op (one thread-local read), so dormant instrumentation sites stay
-/// inside the E15 overhead budget; scoped samples reach ancestors and
-/// [`root_snapshot`] through the merge-on-drop path, which keeps merged
-/// distributions bucket-exact at any executor width.
+/// inside the E15 overhead budget; scoped samples reach ancestors through
+/// the merge-on-drop path, which keeps merged distributions bucket-exact
+/// at any executor width.
 ///
 /// When the flight recorder is capturing and a recorded span is open on
 /// this thread, the sample's bucket is stamped with that span as its
@@ -623,32 +573,6 @@ pub fn qe_timed<R>(op: &'static str, f: impl FnOnce() -> R) -> R {
         );
     }
     result
-}
-
-/// Snapshot of the process root: everything counted outside any scope
-/// plus every top-level scope that has already dropped. This is the
-/// legacy process-global view (racy across concurrent scopes *by
-/// construction* — prefer [`MetricsScope`]).
-#[must_use]
-pub fn root_snapshot() -> MetricsSnapshot {
-    let mut counters = [0u64; N_COUNTERS];
-    for (slot, &c) in counters.iter_mut().zip(COUNTERS.iter()) {
-        *slot = ROOT.load(c);
-    }
-    MetricsSnapshot {
-        counters,
-        ops: ROOT_OPS.lock().expect("root ops poisoned").clone(),
-        hists: ROOT_HISTS.lock().expect("root hists poisoned").clone(),
-    }
-}
-
-/// Reset the process root, including the flight recorder's root rings
-/// (benchmark-harness boundaries only).
-pub fn root_reset() {
-    ROOT.reset();
-    ROOT_OPS.lock().expect("root ops poisoned").clear();
-    ROOT_HISTS.lock().expect("root hists poisoned").clear();
-    let _ = recorder::take_root_events();
 }
 
 #[cfg(test)]
@@ -727,12 +651,14 @@ mod tests {
 
     #[test]
     fn record_hist_without_scope_is_a_no_op_for_scopes() {
-        // No scope installed: the sample must not appear in any scope
-        // opened afterwards (root-level accumulation is covered by the
-        // merge-on-drop test above).
+        // No scope installed: neither the sample nor the count may
+        // appear in any scope opened afterwards.
         record_hist(hist::VIEW_UPDATE_NS, 42);
+        count(Counter::Rederivations, 9);
         let scope = MetricsScope::enter("after");
-        assert!(!scope.snapshot().hists.contains_key(hist::VIEW_UPDATE_NS));
+        let snap = scope.snapshot();
+        assert!(!snap.hists.contains_key(hist::VIEW_UPDATE_NS));
+        assert_eq!(snap.get(Counter::Rederivations), 0);
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! SLO watchdog: declarative latency thresholds checked at scope drop.
 //!
-//! A rule like `view_update_ns p99 < 2ms` ([`SloRule::parse`]) arms the
-//! watchdog process-wide. When a [`MetricsScope`](crate::MetricsScope)
-//! closes, its histograms are checked against every armed rule *before*
-//! the merge-on-drop fold; a breach **freezes** the scope's
-//! flight-recorder rings (they are taken out of the merge) and dumps
-//! them to a chrome-trace file through the existing [`crate::chrome`]
-//! exporter, so the spans that produced the bad tail are on disk the
-//! moment the SLO is missed — no recompile, no re-run. Long-lived
-//! registry scopes never drop, so
-//! [`TelemetryRegistry::check_slos`](crate::TelemetryRegistry::check_slos)
-//! runs the same check on demand.
+//! [`set_rules`] arms the watchdog process-wide with [`SloRule`]s such
+//! as `SloRule::new(hist::VIEW_UPDATE_NS, 0.99, 2_000_000)` ("p99 of
+//! `view_update_ns` under 2ms"). When a
+//! [`MetricsScope`](crate::MetricsScope) closes, its histograms are
+//! checked against every armed rule *before* the merge-on-drop fold; a
+//! breach **freezes** the scope's flight-recorder rings (they are taken
+//! out of the merge) and dumps them to a chrome-trace file through the
+//! existing [`crate::chrome`] exporter, so the spans that produced the
+//! bad tail are on disk the moment the SLO is missed — no recompile, no
+//! re-run. Long-lived registry scopes never drop, so they are never
+//! checked.
 //!
-//! Breaches accumulate in a process-wide list ([`take_breaches`]) shaped
-//! for the `EvalReport` anomaly rows. When no rules are armed the entire
-//! cost at scope drop is one relaxed atomic load.
+//! Breaches accumulate in a process-wide list ([`take_breaches`]);
+//! [`SloBreach::to_json`] renders one as the anomaly row `repro e20`
+//! emits. When no rules are armed the entire cost at scope drop is one
+//! relaxed atomic load.
 
+use crate::json::Json;
 use crate::recorder::{self, SpanEvent};
 use crate::scope::MetricsSnapshot;
 use std::path::PathBuf;
@@ -41,53 +43,9 @@ impl SloRule {
     pub fn new(hist: &str, quantile: f64, max_ns: u64) -> SloRule {
         SloRule { hist: hist.to_string(), quantile, max_ns }
     }
-
-    /// Parse the declarative form `<hist> p<NN[.N]> < <value>[ns|us|ms|s]`,
-    /// e.g. `view_update_ns p99 < 2ms` or `multiway_fanout p50 < 4096`.
-    pub fn parse(text: &str) -> Result<SloRule, String> {
-        let mut parts = text.split_whitespace();
-        let (Some(hist), Some(q), Some(lt), Some(bound), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!("slo rule '{text}': expected '<hist> p<NN> < <bound>'"));
-        };
-        if lt != "<" {
-            return Err(format!("slo rule '{text}': expected '<', got '{lt}'"));
-        }
-        let pct = q
-            .strip_prefix('p')
-            .and_then(|p| p.parse::<f64>().ok())
-            .filter(|p| (0.0..=100.0).contains(p))
-            .ok_or_else(|| format!("slo rule '{text}': bad quantile '{q}'"))?;
-        let (digits, unit) = match bound.find(|c: char| !c.is_ascii_digit()) {
-            Some(at) => bound.split_at(at),
-            None => (bound, ""),
-        };
-        let value: u64 =
-            digits.parse().map_err(|_| format!("slo rule '{text}': bad bound '{bound}'"))?;
-        let scale: u64 = match unit {
-            "" | "ns" => 1,
-            "us" => 1_000,
-            "ms" => 1_000_000,
-            "s" => 1_000_000_000,
-            other => return Err(format!("slo rule '{text}': unknown unit '{other}'")),
-        };
-        Ok(SloRule {
-            hist: hist.to_string(),
-            quantile: pct / 100.0,
-            max_ns: value.saturating_mul(scale),
-        })
-    }
-
-    /// The declarative form back, for reports.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        format!("{} p{} < {}ns", self.hist, self.quantile * 100.0, self.max_ns)
-    }
 }
 
-/// One SLO breach observed at a scope drop (or an explicit
-/// [`TelemetryRegistry::check_slos`](crate::TelemetryRegistry::check_slos)).
+/// One SLO breach observed at a scope drop.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SloBreach {
     /// Name of the scope whose histogram breached.
@@ -108,6 +66,22 @@ pub struct SloBreach {
     pub dump_error: Option<String>,
 }
 
+impl SloBreach {
+    /// Render as a JSON anomaly row: `scope`, `hist`, `quantile`,
+    /// `observed_ns`, `threshold_ns` and `dump_path` (`""` when no dump
+    /// was written).
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .field("scope", self.scope.as_str())
+            .field("hist", self.hist.as_str())
+            .field("quantile", self.quantile)
+            .field("observed_ns", self.observed)
+            .field("threshold_ns", self.max_ns)
+            .field("dump_path", self.dump_path.as_deref().unwrap_or(""))
+    }
+}
+
 static ARMED: AtomicBool = AtomicBool::new(false);
 static RULES: Mutex<Vec<SloRule>> = Mutex::new(Vec::new());
 static DUMP_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
@@ -120,17 +94,6 @@ pub fn set_rules(rules: Vec<SloRule>) {
     let mut slot = RULES.lock().expect("slo rules poisoned");
     ARMED.store(!rules.is_empty(), Ordering::Relaxed);
     *slot = rules;
-}
-
-/// Disarm the watchdog and clear any armed rules.
-pub fn clear_rules() {
-    set_rules(Vec::new());
-}
-
-/// The currently armed rules.
-#[must_use]
-pub fn rules() -> Vec<SloRule> {
-    RULES.lock().expect("slo rules poisoned").clone()
 }
 
 /// Directory breach dumps are written to. `None` (the default) disables
@@ -147,7 +110,7 @@ pub fn take_breaches() -> Vec<SloBreach> {
 /// Is any rule armed? One relaxed load — the scope-drop fast path.
 #[inline]
 #[must_use]
-pub fn armed() -> bool {
+pub(crate) fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
@@ -170,16 +133,13 @@ fn write_dump(scope: &str, hist: &str, events: &[SpanEvent]) -> Result<String, S
 
 /// Check one scope's histograms against the armed rules. `events` is
 /// called at most once, on the first breach, to freeze the scope's
-/// flight-recorder rings for the dump. Returns the breaches found (they
-/// are also appended to the process-wide list).
-pub fn check(
+/// flight-recorder rings for the dump. Breaches are appended to the
+/// process-wide list.
+pub(crate) fn check(
     scope: &str,
     snapshot: &MetricsSnapshot,
     events: impl FnOnce() -> Vec<SpanEvent>,
-) -> Vec<SloBreach> {
-    if !armed() {
-        return Vec::new();
-    }
+) {
     let rules = RULES.lock().expect("slo rules poisoned").clone();
     let mut frozen: Option<Vec<SpanEvent>> = None;
     let mut events = Some(events);
@@ -207,44 +167,6 @@ pub fn check(
         });
     }
     if !found.is_empty() {
-        BREACHES.lock().expect("slo breaches poisoned").extend(found.clone());
-    }
-    found
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_accepts_the_declarative_form() {
-        let rule = SloRule::parse("view_update_ns p99 < 2ms").expect("parses");
-        assert_eq!(rule.hist, "view_update_ns");
-        assert!((rule.quantile - 0.99).abs() < 1e-9);
-        assert_eq!(rule.max_ns, 2_000_000);
-        let bare = SloRule::parse("multiway_fanout p50 < 4096").expect("parses");
-        assert_eq!(bare.max_ns, 4096);
-        assert_eq!(SloRule::parse("qe_call_ns p99.9 < 5us").expect("parses").max_ns, 5_000);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_rules() {
-        for bad in [
-            "view_update_ns p99 > 2ms",
-            "view_update_ns 99 < 2ms",
-            "view_update_ns p101 < 2ms",
-            "view_update_ns p99 < 2lightyears",
-            "p99 < 2ms",
-            "view_update_ns p99 < 2ms extra",
-        ] {
-            assert!(SloRule::parse(bad).is_err(), "'{bad}' should not parse");
-        }
-    }
-
-    #[test]
-    fn describe_round_trips_through_parse() {
-        let rule = SloRule::parse("qe_call_ns p95 < 1500ns").expect("parses");
-        let again = SloRule::parse(&rule.describe()).expect("describe re-parses");
-        assert_eq!(again, rule);
+        BREACHES.lock().expect("slo breaches poisoned").extend(found);
     }
 }
